@@ -21,24 +21,8 @@ import json
 import os
 import sys
 
-from .decider import (
-    Certificate,
-    Verdict,
-    canonicalize,
-    enumerate_zero_mutable,
-    is_zero_mutable,
-)
-from .errors import (
-    IllegalMutation,
-    InvalidDatum,
-    LogMutError,
-    NotRankOne,
-    NotRankTwo,
-    ShapeMismatch,
-    SubordinationRequired,
-    TooFewEdges,
-    WallSynthesisError,
-)
+from .decider import Verdict, canonicalize, enumerate_zero_mutable, is_zero_mutable
+from .errors import IllegalMutation, LogMutError, TooFewEdges
 from .logdatum import (
     LogDatum,
     component_types,
@@ -48,7 +32,7 @@ from .logdatum import (
     named,
     rank,
 )
-from .mutation import mutate_with_trace
+from .mutation import mutate_with_trace, part_index
 from .render import RenderSpec, render_svg
 from .wallfn import (
     WallAssignment,
@@ -111,16 +95,9 @@ def cmd_mutate(args) -> int:
         raise IllegalMutation(
             f"edge index {args.edge} out of range 1..{len(S)}"
         )
-    nu = S.edges[args.edge - 1].nu
+    k = args.part
     if args.part_value is not None:
-        if args.part_value not in nu:
-            raise IllegalMutation(
-                f"edge {args.edge} has no part of value {args.part_value} "
-                f"(nu={nu})"
-            )
-        k = nu.index(args.part_value) + 1
-    else:
-        k = args.part
+        k = part_index(S, args.edge, args.part_value)
     T, trace = mutate_with_trace(S, args.edge, k)
     if args.json:
         out = {"datum": datum_to_obj(T)}
@@ -143,10 +120,7 @@ def _verdict_exit(verdict: Verdict) -> int:
 def cmd_decide(args) -> int:
     S = load_datum(args.datum)
     verdict = is_zero_mutable(
-        S,
-        max_depth=args.max_depth,
-        max_states=args.max_states,
-        threads=args.threads,
+        S, max_depth=args.max_depth, max_states=args.max_states
     )
     cert = verdict.certificate
     if args.certificate and cert is not None:
@@ -193,12 +167,9 @@ def cmd_enumerate(args) -> int:
             raw = json.load(fh)
     else:
         raw = json.loads(args.edges)
-    vectors = [tuple(int(c) for c in v) for v in raw]
+    vectors = [tuple(v) for v in raw]
     results = enumerate_zero_mutable(
-        vectors,
-        max_depth=args.max_depth,
-        max_states=args.max_states,
-        threads=args.threads,
+        vectors, max_depth=args.max_depth, max_states=args.max_states
     )
     if args.json:
         print(
@@ -356,13 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_limits(p):
         p.add_argument("--max-depth", type=int, default=32, metavar="N")
         p.add_argument("--max-states", type=int, default=10**6, metavar="N")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            metavar="N",
-            help="parallel expansion workers (verdicts are unaffected)",
-        )
 
     p = sub.add_parser("validate", help="check and normalize a datum")
     add_common(p)
@@ -436,17 +400,6 @@ def main(argv=None) -> int:
     except IllegalMutation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        InvalidDatum,
-        TooFewEdges,
-        NotRankOne,
-        NotRankTwo,
-        ShapeMismatch,
-        SubordinationRequired,
-        WallSynthesisError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except LogMutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,86 +15,30 @@ of mutations.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import IllegalMutation, InvalidDatum, NotRankTwo
-from .lattice import (
-    Vec,
-    UnimodularMap,
-    ccw_key,
-    primitive_split,
-    shear_map,
-    to_east,
-)
+from .lattice import Vec, primitive_split
 from .logdatum import (
+    Edge,
     LogDatum,
     Partition,
-    apply_to_datum,
     datum_from_obj,
     datum_to_obj,
+    is_zero_mutable_rank_one,
+    lattice_vector,
     partitions_of,
     validate,
 )
-from .mutation import legal_mutations, mutate, mutate_by_value
+from .mutation import _expand_state, _state, mutate_by_value
 
 
-def _normalizing_map(S: LogDatum, i: int) -> UnimodularMap:
-    """The canonical SL(2,Z) map for edge i: u_i -> (1,0), next direction
-    normalized by a shear to (p, q) with 0 <= p < q.
-
-    For rank-one data the next direction maps to (-1, 0), which every shear
-    fixes, so no shear is applied (the edge list is shear-independent there).
-    """
-    dirs = S.directions
-    base = to_east(dirs[i])
-    nxt = base.apply(dirs[(i + 1) % len(dirs)])
-    p, q = nxt
-    if q <= 0:
-        # Only possible for the antipode (-1, 0) of a rank-one datum.
-        return base
-    return shear_map(-(p // q)).compose(base)
-
-
-def _candidates(S: LogDatum):
-    """Reference construction of the transformed serializations, one per
-    choice of base edge.
-
-    An orientation-preserving map preserves the counterclockwise cyclic
-    order and sends edge i's direction to (1, 0) — the angle the sort
-    starts from — so the sorted order of the image is just the rotation of
-    the transformed edges starting at i; no re-sort is needed.  The search
-    uses _canonical_key, which computes the same minimum with inlined
-    integer arithmetic; tests pin the two against each other.
-    """
-    edges = S.edges
-    m = len(edges)
-    for i in range(m):
-        A = _normalizing_map(S, i)
-        images = [(A.apply(edge.e), edge.nu) for edge in edges]
-        yield tuple(images[(i + t) % m] for t in range(m))
-
-
-# A search state is a datum as one flat tuple (l, nu, dx, dy, l, nu, dx, dy,
-# ...): lattice length, partition and primitive direction of each edge, in
-# the counterclockwise order of the datum (east-first cut).  Mutation moves
-# directions by unimodular shears, which keep lengths, so the search never
-# takes a gcd.  A key is a flat (x, y, nu, x, y, nu, ...) tuple; it orders
-# like the nested ((e, nu), ...) serialization.  Flat tuples keep the
-# objects a visited class holds to its key alone, and a frontier class to
-# its state.  LogDatum objects are rebuilt only for the final certificate (by
-# replaying through the real mutation).
-
-
-def _state(serialized: tuple) -> tuple:
-    """The search state of a nested ((e, nu), ...) serialization."""
-    out = []
-    for (x, y), nu in serialized:
-        l = gcd(x, y)
-        out += (l, nu, x // l, y // l)
-    return tuple(out)
+# The search works on the flat states of mutation.py.  A key is a flat
+# (x, y, nu, x, y, nu, ...) tuple; it orders like the nested ((e, nu), ...)
+# serialization.  Flat tuples keep the objects a visited class holds to its
+# key alone, and a frontier class to its state.  LogDatum objects are
+# rebuilt only for the final certificate (by replaying through mutate).
 
 
 def _own_key(state: tuple) -> tuple:
@@ -109,7 +53,8 @@ def _own_key(state: tuple) -> tuple:
 
 
 def _canonical_key(state: tuple) -> tuple:
-    """min over base edges of the transformed rotation, as in _candidates,
+    """The minimum over base edges i of the state rotated to start at i and
+    transformed by the SL(2,Z) map normalizing u_i and the next direction,
     in key form; the state may start at any edge.
 
     Candidate i starts with (l_i, 0, nu_i), so only edges minimizing
@@ -174,13 +119,7 @@ def canonical_rep(S: LogDatum) -> LogDatum:
     if len(S) == 0:
         return S
     best = canonical_tuple(S)
-    return LogDatum(tuple(_edge_from_pair(pair) for pair in best))
-
-
-def _edge_from_pair(pair):
-    from .logdatum import Edge
-
-    return Edge(pair[0], pair[1])
+    return LogDatum(tuple(Edge(e, nu) for e, nu in best))
 
 
 class CertStep(NamedTuple):
@@ -244,127 +183,8 @@ class Verdict:
         return Verdict("unknown", None, explored, depth)
 
 
-def _is_terminal_success(S: LogDatum) -> bool:
-    return len(S) == 2 and S.edges[0].nu == S.edges[1].nu
-
-
-def _expand_state(state: tuple, back: Optional[tuple] = None) -> list:
-    """Children of one state in deterministic move order (edge asc, part
-    index asc, one move per distinct part value), as (1-based edge, part
-    value, child, child's back move) tuples, leaving out the state's own
-    back move `back`.
-
-    This mirrors mutate()/legal_mutations() on states; the final certificate
-    is replayed through the real mutation, which pins the two
-    implementations against each other on every Yes (tests do so at random).
-
-    No comparison sort is needed: walking the cycle from edge j, the
-    positive side of u_j comes first (the shear fixes u_j and keeps that
-    open half-plane, so it preserves the arc's internal order), then the
-    -u_j slot, then the untouched negative side.  That is the
-    counterclockwise cycle, rotated to the angular wrap to restore the
-    east-first cut that certificate steps address.  The sides do not depend
-    on the part removed, so they are built once per edge.
-
-    The back move of a child with d = h - part > 0 removes the part d just
-    added to its -u_j edge; it is given as (0-based flat index of that
-    edge, d).  Its height along -u_j is again h (the sform(u_j, .) of a
-    closed datum sums to zero), so it puts the part back on u_j and shears
-    the other side by the same shear as the first move: the result is that
-    shear applied to the whole parent, a datum of the parent's class.  That
-    class is visited already, so the search loses nothing by leaving the
-    move out.
-    """
-    skip_j, skip_part = back or (-1, 0)
-    n = len(state)
-    out = []
-    if n <= 8:
-        return out  # rank-one states are mutation-terminal
-    for j in range(0, n, 4):
-        lj, nuj, ux, uy = state[j : j + 4]
-        rest = state[j + 4 :] + state[:j]
-        # The positive side is a prefix of the rest; it alone adds to the
-        # height h, and its shear image is the same for every part.
-        h = 0
-        positive = []
-        wrap = None  # the first sheared edge at an angle in [0, pi)
-        k = 0
-        it = iter(rest)
-        for l, nu, dx, dy in zip(it, it, it, it):
-            c = ux * dy - uy * dx  # sform(u_j, u)
-            if c <= 0:
-                break
-            h += l * c
-            dx += c * ux
-            dy += c * uy
-            if wrap is None and (dy > 0 or (dy == 0 and dx > 0)):
-                wrap = k
-            positive += (l, nu, dx, dy)
-            k += 4
-        if c:
-            opposite = None
-            negative = rest[k:]
-        else:  # directions are distinct: this is -u_j
-            opposite = rest[k : k + 4]
-            negative = rest[k + 4 :]
-
-        last = None
-        for part in nuj:  # descending, so equal values are adjacent
-            if part == last or part > h:
-                continue  # duplicate value, or illegal
-            last = part
-            if j == skip_j and part == skip_part:
-                continue  # the back move
-            if len(nuj) > 1:
-                remaining = list(nuj)
-                remaining.remove(part)  # stays sorted descending
-                child = [lj - part, tuple(remaining), ux, uy]
-            else:
-                child = []
-            head = len(child)
-            child += positive
-            d = h - part
-            if opposite is None:
-                if d:
-                    child += (d, (d,), -ux, -uy)
-            elif d:
-                lo, nuo, ox, oy = opposite
-                grown = tuple(sorted(nuo + (d,), reverse=True))
-                child += (lo + d, grown, ox, oy)
-            else:
-                child += opposite
-            tail = len(child)
-            child += negative
-
-            # The east-first cut is the edge of least angle in [0, 2pi).  If
-            # u_j lies in [0, pi), all angles up to the -u_j slot lie in
-            # [angle(u_j), 2pi): the cut is the first negative-side edge in
-            # [0, pi) (y > 0, or y == 0 < x), else the start.  Otherwise it
-            # is the first sheared edge in [0, pi), else the next one.
-            if uy > 0 or (uy == 0 and ux > 0):
-                cut = 0
-                for idx in range(tail, len(child), 4):
-                    bx, by = child[idx + 2], child[idx + 3]
-                    if by > 0 or (by == 0 and bx > 0):
-                        cut = idx
-                        break
-            elif wrap is not None:
-                cut = head + wrap
-            else:
-                cut = head + len(positive)
-            if cut:
-                child = child[cut:] + child[:cut]
-            child_back = ((tail - 4 - cut) % len(child), d) if d else None
-            out.append((j // 4 + 1, part, tuple(child), child_back))
-    return out
-
-
 def is_zero_mutable(
-    S: LogDatum,
-    *,
-    max_depth: int = 32,
-    max_states: int = 10**6,
-    threads: int = 1,
+    S: LogDatum, *, max_depth: int = 32, max_states: int = 10**6
 ) -> Verdict:
     """Breadth-first search for a mutation path to a rank-one datum with
     equal partitions.
@@ -375,9 +195,6 @@ def is_zero_mutable(
     equal to the canonical representative of its class, then discovery
     order.  Parents are expanded one at a time, so the first canonical
     success ends the layer and the parents after it are never expanded.
-    `threads` > 1 expands a layer's parents ahead in a thread pool but
-    merges them in the same discovery order, so verdicts, certificates and
-    explored counts are identical for every `threads` value.
 
     Only the frontier keeps its states; every class on it keeps just its
     parent's index and the move that reached it, which is all a
@@ -385,7 +202,7 @@ def is_zero_mutable(
     """
     if not isinstance(S, LogDatum):
         raise InvalidDatum("is_zero_mutable expects a validated LogDatum")
-    if _is_terminal_success(S):
+    if len(S) == 2 and is_zero_mutable_rank_one(S):
         return Verdict.yes(Certificate((), S), explored=1)
 
     root = _state(S.serialize())
@@ -395,80 +212,68 @@ def is_zero_mutable(
     parent_of, edge_of, part_of = [0], [0], [0]
     frontier, backs = [root], [None]
     depth = 0
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while frontier:
-            if depth >= max_depth:
-                return Verdict.unknown(len(visited), depth)
-            depth += 1
-            # Lazily, one parent at a time, unless a pool runs ahead.
-            if pool is not None:
-                expansions = pool.map(_expand_state, frontier, backs)
-            else:
-                expansions = map(_expand_state, frontier, backs)
+    while frontier:
+        if depth >= max_depth:
+            return Verdict.unknown(len(visited), depth)
+        depth += 1
+        expansions = map(_expand_state, frontier, backs)  # lazily
 
-            # Selection among same-layer successes: the first one whose
-            # terminal is its own canonical representative, else the first
-            # one at all, scanning parents in discovery order and moves in
-            # expansion order.  Once any success is in hand the remaining
-            # children no longer need dedup (the search returns either way),
-            # and a canonical hit ends the layer outright.
-            first_success = None
-            canonical_success = None
-            ids = range(len(parent_of) - len(frontier), len(parent_of))
-            next_frontier: list[tuple] = []
-            next_backs: list[Optional[tuple]] = []
-            for node, children in zip(ids, expansions):
-                for edge, part, child, back in children:
-                    if len(child) == 8 and child[1] == child[5]:  # success
-                        if first_success is None:
-                            first_success = (node, edge, part, child)
-                        if _own_key(child) == _canonical_key(child):
-                            canonical_success = (node, edge, part, child)
-                            break
-                    elif first_success is None:
-                        explored = len(visited)
-                        visited.add(_canonical_key(child))
-                        if len(visited) == explored:
-                            continue
-                        if explored >= max_states:
-                            return Verdict.unknown(explored, depth)
-                        if len(child) > 8:
-                            next_frontier.append(child)
-                            next_backs.append(back)
-                            parent_of.append(node)
-                            edge_of.append(edge)
-                            part_of.append(part)
-                if canonical_success is not None:
-                    break
+        # Selection among same-layer successes: the first one whose
+        # terminal is its own canonical representative, else the first
+        # one at all, scanning parents in discovery order and moves in
+        # expansion order.  Once any success is in hand the remaining
+        # children no longer need dedup (the search returns either way),
+        # and a canonical hit ends the layer outright.
+        first_success = None
+        canonical_success = None
+        ids = range(len(parent_of) - len(frontier), len(parent_of))
+        next_frontier: list[tuple] = []
+        next_backs: list[Optional[tuple]] = []
+        for node, children in zip(ids, expansions):
+            for edge, part, child, back in children:
+                if len(child) == 8 and child[1] == child[5]:  # success
+                    if first_success is None:
+                        first_success = (node, edge, part, child)
+                    if _own_key(child) == _canonical_key(child):
+                        canonical_success = (node, edge, part, child)
+                        break
+                elif first_success is None:
+                    explored = len(visited)
+                    visited.add(_canonical_key(child))
+                    if len(visited) == explored:
+                        continue
+                    if explored >= max_states:
+                        return Verdict.unknown(explored, depth)
+                    if len(child) > 8:
+                        next_frontier.append(child)
+                        next_backs.append(back)
+                        parent_of.append(node)
+                        edge_of.append(edge)
+                        part_of.append(part)
+            if canonical_success is not None:
+                break
 
-            if first_success is not None:
-                node, edge, part, final_state = (
-                    canonical_success or first_success
+        if first_success is not None:
+            node, edge, part, final_state = canonical_success or first_success
+            steps = [CertStep(edge, part)]
+            while node:
+                steps.append(CertStep(edge_of[node], part_of[node]))
+                node = parent_of[node]
+            steps.reverse()
+            # Rebuild the terminal through mutate, which re-validates every
+            # intermediate of the found path: this checks the kernel's
+            # east-first cut against validate's counterclockwise sort.
+            terminal = S
+            for cert_step in steps:
+                terminal = mutate_by_value(terminal, cert_step.edge, cert_step.part)
+            if _state(terminal.serialize()) != final_state:
+                raise RuntimeError(
+                    "the search's states diverged from the validated data"
                 )
-                steps = [CertStep(edge, part)]
-                while node:
-                    steps.append(CertStep(edge_of[node], part_of[node]))
-                    node = parent_of[node]
-                steps.reverse()
-                # Rebuild the terminal through the real mutation; this also
-                # re-validates every intermediate of the found path.
-                terminal = S
-                for cert_step in steps:
-                    terminal = mutate_by_value(
-                        terminal, cert_step.edge, cert_step.part
-                    )
-                if _state(terminal.serialize()) != final_state:
-                    raise RuntimeError(
-                        "state-level search diverged from the mutation calculus"
-                    )
-                cert = Certificate(tuple(steps), terminal)
-                return Verdict.yes(cert, explored=len(visited))
-            frontier, backs = next_frontier, next_backs
-        return Verdict.no(len(visited), depth)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            cert = Certificate(tuple(steps), terminal)
+            return Verdict.yes(cert, explored=len(visited))
+        frontier, backs = next_frontier, next_backs
+    return Verdict.no(len(visited), depth)
 
 
 def replay(S: LogDatum, cert: Certificate) -> LogDatum:
@@ -492,7 +297,11 @@ def verify_certificate(S: LogDatum, cert: Certificate) -> bool:
         result = replay(S, cert)
     except IllegalMutation:
         return False
-    return result == cert.terminal and _is_terminal_success(result)
+    return (
+        result == cert.terminal
+        and len(result) == 2
+        and is_zero_mutable_rank_one(result)
+    )
 
 
 def enumerate_zero_mutable(
@@ -500,25 +309,24 @@ def enumerate_zero_mutable(
     *,
     max_depth: int = 32,
     max_states: int = 10**6,
-    threads: int = 1,
 ) -> list[tuple[tuple[Partition, ...], Verdict]]:
     """Decide every partition assignment over a fixed closed edge list.
 
-    Edge vectors must be closed with pairwise distinct directions (checked by
-    validation with the trivial one-part partitions).  Assignments iterate in
-    descending lexicographic partition order per edge, edges taken in
-    counterclockwise order; returns (assignment, verdict) pairs.
+    Edge vectors must be integer pairs, closed, with pairwise distinct
+    directions (checked by validation with the trivial one-part
+    partitions).  Assignments iterate in descending lexicographic partition
+    order per edge, edges taken in counterclockwise order; returns
+    (assignment, verdict) pairs.
     """
     import itertools
 
+    edge_vectors = [lattice_vector(e) for e in edge_vectors]
     trial = validate([(e, (primitive_split(e)[0],)) for e in edge_vectors])
     vectors = [edge.e for edge in trial.edges]
     lengths = [edge.length for edge in trial.edges]
     results = []
     for assignment in itertools.product(*(partitions_of(l) for l in lengths)):
         S = validate(list(zip(vectors, assignment)))
-        verdict = is_zero_mutable(
-            S, max_depth=max_depth, max_states=max_states, threads=threads
-        )
+        verdict = is_zero_mutable(S, max_depth=max_depth, max_states=max_states)
         results.append((assignment, verdict))
     return results

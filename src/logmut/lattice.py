@@ -45,15 +45,6 @@ def primitive_split(e: Vec) -> tuple[int, Vec]:
     return g, (e[0] // g, e[1] // g)
 
 
-def shear_positive(u: Vec, x: Vec) -> Vec:
-    """x + {u, x}_+ * u : the positive-part shear across the line R*u.
-
-    The identity on the half-plane {u, x} <= 0, a unimodular shear on the
-    other; total in x, as the mutation definition requires.
-    """
-    return vadd(x, vscale(pos_part(sform(u, x)), u))
-
-
 @dataclass(frozen=True)
 class UnimodularMap:
     """An element [[a, b], [c, d]] of SL(2, Z), acting on vectors by rows:
@@ -88,9 +79,6 @@ class UnimodularMap:
 
     def inverse(self) -> "UnimodularMap":
         return UnimodularMap(self.d, -self.b, -self.c, self.a)
-
-
-IDENTITY = UnimodularMap(1, 0, 0, 1)
 
 
 def shear_map(m: int) -> UnimodularMap:

@@ -20,6 +20,7 @@ from .errors import (
     ClosureViolation,
     DuplicateDirection,
     InvalidDatum,
+    NotRankOne,
     NotRankTwo,
     PartitionSumMismatch,
     TooFewEdges,
@@ -31,6 +32,7 @@ from .lattice import (
     primitive_split,
     sform,
     sort_ccw,
+    to_east,
     vadd,
 )
 
@@ -86,11 +88,21 @@ class Rank(Enum):
     RANK_TWO = "rank two"
 
 
+def lattice_vector(v) -> Vec:
+    """v as a pair of ints; InvalidDatum for anything else, bools and floats
+    included (no coercion)."""
+    if type(v) in (list, tuple) and len(v) == 2:
+        x, y = v
+        if type(x) is int and type(y) is int:
+            return (x, y)
+    raise InvalidDatum(f"edge vector {v!r} is not a pair of integers")
+
+
 def normalize_partition(parts: Iterable[int]) -> Partition:
     """Sort weakly decreasing and drop zero parts; reject negatives."""
     cleaned = []
     for p in parts:
-        if not isinstance(p, int) or isinstance(p, bool):
+        if type(p) is not int:
             raise InvalidDatum(f"partition part {p!r} is not an integer")
         if p < 0:
             raise InvalidDatum(f"partition part {p} is negative")
@@ -102,13 +114,14 @@ def normalize_partition(parts: Iterable[int]) -> Partition:
 def validate(raw_edges: Sequence[tuple[Vec, Iterable[int]]]) -> LogDatum:
     """Check the log-datum invariants and return the CCW-sorted datum.
 
-    Raises ZeroVector, PartitionSumMismatch, DuplicateDirection, or
-    ClosureViolation (all subclasses of InvalidDatum) on the first violated
-    invariant, in that order.
+    Raises InvalidDatum on a coordinate or part that is not an int (bools
+    and floats included), then ZeroVector, PartitionSumMismatch,
+    DuplicateDirection, or ClosureViolation (all subclasses of InvalidDatum)
+    on the first violated invariant, in that order.
     """
     edges = []
     for e_raw, nu_raw in raw_edges:
-        e = (int(e_raw[0]), int(e_raw[1]))
+        e = lattice_vector(e_raw)
         nu = normalize_partition(nu_raw)
         length, _ = primitive_split(e)  # raises ZeroVector on (0,0)
         if sum(nu) != length:
@@ -142,8 +155,6 @@ def rank(S: LogDatum) -> Rank:
 
 def is_zero_mutable_rank_one(S: LogDatum) -> bool:
     """For a rank-one datum: do the two partitions agree (as multisets)?"""
-    from .errors import NotRankOne
-
     if len(S) != 2:
         raise NotRankOne(f"expected exactly two edges, got {len(S)}")
     return S.edges[0].nu == S.edges[1].nu
@@ -300,10 +311,9 @@ def cone_normal_form(v: Vec, w: Vec) -> tuple[int, int]:
     r = sform(v, w)
     if r < 1:
         raise ValueError(f"cone rays must be positively oriented, got sform {r}")
-    from .lattice import to_east
-
     p, r_image = to_east(v).apply(w)
-    assert r_image == r, "sform is SL(2,Z)-invariant"
+    if r_image != r:
+        raise RuntimeError(f"to_east({v}) changed the sform {r} of <{v}, {w}>")
     return r, p % r
 
 
@@ -363,10 +373,9 @@ def datum_from_obj(obj: dict) -> LogDatum:
     for item in obj["edges"]:
         if not isinstance(item, dict) or "e" not in item or "nu" not in item:
             raise InvalidDatum('each edge needs "e": [x, y] and "nu": [parts...]')
-        e = item["e"]
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise InvalidDatum(f'edge vector {e!r} is not a pair')
-        raw.append(((int(e[0]), int(e[1])), tuple(int(p) for p in item["nu"])))
+        if not isinstance(item["nu"], list):
+            raise InvalidDatum(f'partition {item["nu"]!r} is not an array')
+        raw.append((item["e"], item["nu"]))
     return validate(raw)
 
 

@@ -14,14 +14,16 @@ legal when h >= l and then:
      its partition gains a part h - l (nothing is inserted when h == l);
 (3b) otherwise, if d = h - l > 0, a new edge (-d * u_j, (d)) appears.
 
-The result is re-validated and re-sorted counterclockwise.
+The rules are implemented once, by _edge_moves on flat states; the search
+calls it on states, and mutate() wraps it for LogDatum objects, whose result
+is re-validated and re-sorted counterclockwise.
 """
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .errors import IllegalMutation, NotRankTwo
-from .lattice import sform, vadd, vscale
 from .logdatum import LogDatum, u_height, validate
 
 
@@ -56,85 +58,220 @@ def legal_mutations(S: LogDatum) -> list[MutationIndex]:
     return moves
 
 
-def _mutate_core(
-    S: LogDatum, j: int, k: int, trace: Optional[list[str]]
-) -> LogDatum:
+# A state is a datum as one flat tuple (l, nu, dx, dy, l, nu, dx, dy, ...):
+# lattice length, partition and primitive direction of each edge, in the
+# counterclockwise order of the datum (east-first cut).  Mutation moves
+# directions by unimodular shears, which keep lengths, so the kernel never
+# takes a gcd.
+
+
+def _state(serialized: tuple) -> tuple:
+    """The state of a nested ((e, nu), ...) serialization."""
+    out = []
+    for (x, y), nu in serialized:
+        l = gcd(x, y)
+        out += (l, nu, x // l, y // l)
+    return tuple(out)
+
+
+def _edge_moves(
+    state: tuple, j: int, parts: tuple, out: list, trace: Optional[list] = None
+) -> int:
+    """Append to `out` the children of the edge at flat index j, one
+    (1-based edge, part value, child, child's back move) per distinct value
+    l <= h in `parts` (parts of that edge, in descending order), and return
+    the height h along u_j.  A trace list also receives each child's branch
+    lines.
+
+    No comparison sort is needed: walking the cycle from edge j, the
+    positive side of u_j comes first (the shear fixes u_j and keeps that
+    open half-plane, so it preserves the arc's internal order), then the
+    -u_j slot, then the untouched negative side.  That is the
+    counterclockwise cycle, rotated to the angular wrap to restore the
+    east-first cut that mutation indices address.  The sides do not depend
+    on the part removed, so they are built once per edge.
+
+    The back move of a child with d = h - part > 0 removes the part d just
+    added to its -u_j edge; it is given as (0-based flat index of that
+    edge, d).  Its height along -u_j is again h (the sform(u_j, .) of a
+    closed datum sums to zero), so it puts the part back on u_j and shears
+    the other side by the same shear as the first move: the result is that
+    shear applied to the whole parent, a datum of the parent's class.
+    """
+    n = len(state)
+    edge = j // 4 + 1
+    lj, nuj, ux, uy = state[j : j + 4]
+    rest = state[j + 4 :] + state[:j]
+    # The positive side is a prefix of the rest; it alone adds to the
+    # height h, and its shear image is the same for every part.
+    h = 0
+    positive = []
+    wrap = None  # the first sheared edge at an angle in [0, pi)
+    k = 0
+    it = iter(rest)
+    for l, nu, dx, dy in zip(it, it, it, it):
+        c = ux * dy - uy * dx  # sform(u_j, u)
+        if c <= 0:
+            break
+        h += l * c
+        dx += c * ux
+        dy += c * uy
+        if wrap is None and (dy > 0 or (dy == 0 and dx > 0)):
+            wrap = k
+        positive += (l, nu, dx, dy)
+        k += 4
+    if c:
+        opposite = None
+        negative = rest[k:]
+    else:  # directions are distinct: this is -u_j
+        opposite = rest[k : k + 4]
+        negative = rest[k + 4 :]
+
+    if trace is not None:  # rule (1) lines, in edge-index order
+        sheared = []
+        for t in range(0, k, 4):
+            i, l = (j + 4 + t) % n, rest[t]
+            old = (l * rest[t + 2], l * rest[t + 3])
+            new = (l * positive[t + 2], l * positive[t + 3])
+            sheared.append((i, f"(1) edge {i // 4 + 1} sheared: {old} -> {new}"))
+        sheared = [line for _, line in sorted(sheared)]
+
+    last = None
+    for part in parts:  # descending, so equal values are adjacent
+        if part == last or part > h:
+            continue  # duplicate value, or illegal
+        last = part
+        if len(nuj) > 1:
+            remaining = list(nuj)
+            remaining.remove(part)  # stays sorted descending
+            child = [lj - part, tuple(remaining), ux, uy]
+        else:
+            child = []
+        head = len(child)
+        child += positive
+        d = h - part
+        if opposite is None:
+            if d:
+                child += (d, (d,), -ux, -uy)
+        elif d:
+            lo, nuo, ox, oy = opposite
+            grown = tuple(sorted(nuo + (d,), reverse=True))
+            child += (lo + d, grown, ox, oy)
+        else:
+            child += opposite
+        tail = len(child)
+        child += negative
+
+        # The east-first cut is the edge of least angle in [0, 2pi).  If
+        # u_j lies in [0, pi), all angles up to the -u_j slot lie in
+        # [angle(u_j), 2pi): the cut is the first negative-side edge in
+        # [0, pi) (y > 0, or y == 0 < x), else the start.  Otherwise it
+        # is the first sheared edge in [0, pi), else the next one.
+        if uy > 0 or (uy == 0 and ux > 0):
+            cut = 0
+            for idx in range(tail, len(child), 4):
+                bx, by = child[idx + 2], child[idx + 3]
+                if by > 0 or (by == 0 and bx > 0):
+                    cut = idx
+                    break
+        elif wrap is not None:
+            cut = head + wrap
+        else:
+            cut = head + len(positive)
+        if trace is not None:
+            trace += sheared
+            if head:
+                shrunk = ((lj - part) * ux, (lj - part) * uy)
+                trace.append(
+                    f"(2a) edge {edge} shrinks to {shrunk},"
+                    f" partition loses one part {part}"
+                )
+            else:
+                trace.append(f"(2b) edge {edge} removed")
+            if opposite is not None:
+                lo, _, ox, oy = opposite
+                trace.append(
+                    f"(3a) opposite edge {(j + 4 + k) % n // 4 + 1} grows:"
+                    f" {(lo * ox, lo * oy)} -> {((lo + d) * ox, (lo + d) * oy)},"
+                    f" partition gains {d if d > 0 else 'nothing'}"
+                )
+            elif d:
+                fresh = (-d * ux, -d * uy)
+                trace.append(f"(3b) new edge {fresh} with partition ({d},)")
+        if cut:
+            child = child[cut:] + child[:cut]
+        child_back = ((tail - 4 - cut) % len(child), d) if d else None
+        out.append((edge, part, tuple(child), child_back))
+    return h
+
+
+def _expand_state(state: tuple, back: Optional[tuple] = None) -> list:
+    """Children of one state in deterministic move order (edge asc, part
+    index asc, one move per distinct part value), as in _edge_moves,
+    leaving out the state's own back move `back`.
+
+    A back move leads to a datum of the parent's class (see _edge_moves);
+    the search has visited that class already, so it loses nothing by
+    leaving the move out.
+    """
+    skip_j, skip_part = back or (-1, 0)
+    out = []
+    if len(state) <= 8:
+        return out  # rank-one states are mutation-terminal
+    for j in range(0, len(state), 4):
+        parts = state[j + 1]
+        if j == skip_j:
+            parts = tuple(p for p in parts if p != skip_part)
+        _edge_moves(state, j, parts, out)
+    return out
+
+
+def _part_at(S: LogDatum, j: int, k: int) -> int:
+    """The value of part k of edge j, after the rank and index checks."""
     _check_rank_two(S)
     if not 1 <= j <= len(S):
         raise IllegalMutation(f"edge index {j} out of range 1..{len(S)}")
-    edge_j = S.edges[j - 1]
-    if not 1 <= k <= len(edge_j.nu):
-        raise IllegalMutation(
-            f"part index {k} out of range 1..{len(edge_j.nu)} for edge {j}"
-        )
-    dirs = S.directions
-    u = dirs[j - 1]
-    part = edge_j.nu[k - 1]
-    h = u_height(S, u)
+    nu = S.edges[j - 1].nu
+    if not 1 <= k <= len(nu):
+        raise IllegalMutation(f"part index {k} out of range 1..{len(nu)} for edge {j}")
+    return nu[k - 1]
+
+
+def _mutate_part(S: LogDatum, j: int, part: int, trace: Optional[list]) -> LogDatum:
+    """The mutation at edge j removing one part of value `part` (one of
+    edge j's parts), through the state kernel and re-validated."""
+    children: list = []
+    h = _edge_moves(_state(S.serialize()), 4 * (j - 1), (part,), children, trace)
     if h < part:
         raise IllegalMutation(
             f"mutation at edge {j}, part {part} is illegal: height h = {h} < {part}"
         )
-
-    minus_u = (-u[0], -u[1])
-    new_edges = []
-    opposite_index = None
-    for i, edge in enumerate(S.edges):
-        if i == j - 1:
-            continue
-        if dirs[i] == minus_u:
-            opposite_index = i
-            continue  # handled in branch (3a); the shear fixes R*u_j anyway
-        pairing = sform(u, edge.e)
-        if pairing > 0:
-            sheared = vadd(edge.e, vscale(pairing, u))
-            if trace is not None:
-                trace.append(f"(1) edge {i + 1} sheared: {edge.e} -> {sheared}")
-            new_edges.append((sheared, edge.nu))
-        else:
-            new_edges.append((edge.e, edge.nu))
-
-    if len(edge_j.nu) > 1:
-        remaining = list(edge_j.nu)
-        remaining.pop(k - 1)
-        shrunk = vscale(edge_j.length - part, u)
-        if trace is not None:
-            trace.append(
-                f"(2a) edge {j} shrinks to {shrunk}, partition loses one part {part}"
-            )
-        new_edges.append((shrunk, tuple(remaining)))
-    elif trace is not None:
-        trace.append(f"(2b) edge {j} removed")
-
-    d = h - part
-    if opposite_index is not None:
-        opp = S.edges[opposite_index]
-        grown = vadd(opp.e, vscale(d, dirs[opposite_index]))
-        new_nu = opp.nu + (d,) if d > 0 else opp.nu
-        if trace is not None:
-            trace.append(
-                f"(3a) opposite edge {opposite_index + 1} grows: {opp.e} -> {grown},"
-                f" partition gains {d if d > 0 else 'nothing'}"
-            )
-        new_edges.append((grown, new_nu))
-    elif d > 0:
-        fresh = vscale(-d, u)
-        if trace is not None:
-            trace.append(f"(3b) new edge {fresh} with partition ({d},)")
-        new_edges.append((fresh, (d,)))
-
-    return validate(new_edges)
+    it = iter(children[0][2])
+    return validate([((l * dx, l * dy), nu) for l, nu, dx, dy in zip(it, it, it, it)])
 
 
 def mutate_with_trace(S: LogDatum, j: int, k: int) -> tuple[LogDatum, list[str]]:
     """Apply the mutation at edge j, part index k; also report branches taken."""
     trace: list[str] = []
-    return _mutate_core(S, j, k, trace), trace
+    return _mutate_part(S, j, _part_at(S, j, k), trace), trace
 
 
 def mutate(S: LogDatum, j: int, k: int) -> LogDatum:
     """The mutation at edge j (1-based CCW position), part index k (1-based)."""
-    return _mutate_core(S, j, k, None)
+    return _mutate_part(S, j, _part_at(S, j, k), None)
+
+
+def part_index(S: LogDatum, j: int, value: int) -> int:
+    """The 1-based index of the first part of edge j equal to value."""
+    if not 1 <= j <= len(S):
+        raise IllegalMutation(f"edge index {j} out of range 1..{len(S)}")
+    nu = S.edges[j - 1].nu
+    try:
+        return nu.index(value) + 1
+    except ValueError:
+        raise IllegalMutation(
+            f"edge {j} has no part of value {value}; partition is {nu}"
+        ) from None
 
 
 def mutate_by_value(S: LogDatum, j: int, value: int) -> LogDatum:
@@ -143,13 +280,4 @@ def mutate_by_value(S: LogDatum, j: int, value: int) -> LogDatum:
     Certificates address parts by value, which survives partition re-sorting.
     """
     _check_rank_two(S)
-    if not 1 <= j <= len(S):
-        raise IllegalMutation(f"edge index {j} out of range 1..{len(S)}")
-    nu = S.edges[j - 1].nu
-    try:
-        k = nu.index(value) + 1
-    except ValueError:
-        raise IllegalMutation(
-            f"edge {j} has no part of value {value}; partition is {nu}"
-        ) from None
-    return mutate(S, j, k)
+    return mutate(S, j, part_index(S, j, value))

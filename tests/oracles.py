@@ -1,8 +1,10 @@
 """Independent reference implementations used to cross-check the library.
 
-These deliberately take different routes than the package code: iterative
-deepening instead of breadth-first search, subset enumeration by sizes
-instead of bitmasks, and numeric sampling next to Groebner bases.
+These deliberately take different routes than the package code: the
+mutation rules on LogDatum objects instead of the package's flat-state
+kernel, canonical keys from explicit SL(2,Z) maps, iterative deepening
+instead of breadth-first search, subset enumeration by sizes instead of
+bitmasks, and numeric sampling next to Groebner bases.
 """
 from __future__ import annotations
 
@@ -11,7 +13,108 @@ from functools import reduce
 from itertools import combinations
 from math import gcd
 
-from logmut import LogDatum, canonical_tuple, legal_mutations, mutate
+from logmut import (
+    LogDatum,
+    UnimodularMap,
+    canonical_tuple,
+    legal_mutations,
+    shear_map,
+    sform,
+    to_east,
+    u_height,
+    validate,
+)
+from logmut.errors import IllegalMutation, NotRankTwo
+
+
+def mutate(S: LogDatum, j: int, k: int) -> LogDatum:
+    """The mutation at edge j, part index k, literally from rules (1)-(3b)
+    of logmut.mutation, on LogDatum objects."""
+    if len(S) <= 2:
+        raise NotRankTwo(f"mutation is defined for rank-two data; got {len(S)} edges")
+    if not 1 <= j <= len(S):
+        raise IllegalMutation(f"edge index {j} out of range 1..{len(S)}")
+    edge_j = S.edges[j - 1]
+    if not 1 <= k <= len(edge_j.nu):
+        raise IllegalMutation(
+            f"part index {k} out of range 1..{len(edge_j.nu)} for edge {j}"
+        )
+    dirs = S.directions
+    u = dirs[j - 1]
+    part = edge_j.nu[k - 1]
+    h = u_height(S, u)
+    if h < part:
+        raise IllegalMutation(
+            f"mutation at edge {j}, part {part} is illegal: height h = {h} < {part}"
+        )
+
+    minus_u = (-u[0], -u[1])
+    new_edges = []
+    opposite_index = None
+    for i, edge in enumerate(S.edges):
+        if i == j - 1:
+            continue
+        if dirs[i] == minus_u:
+            opposite_index = i
+            continue  # handled in branch (3a); the shear fixes R*u_j anyway
+        pairing = sform(u, edge.e)
+        if pairing > 0:  # (1)
+            x, y = edge.e
+            new_edges.append(((x + pairing * u[0], y + pairing * u[1]), edge.nu))
+        else:
+            new_edges.append((edge.e, edge.nu))
+
+    if len(edge_j.nu) > 1:  # (2a); otherwise (2b) drops edge j
+        remaining = list(edge_j.nu)
+        remaining.pop(k - 1)
+        shrunk = edge_j.length - part
+        new_edges.append(((shrunk * u[0], shrunk * u[1]), tuple(remaining)))
+
+    d = h - part
+    if opposite_index is not None:  # (3a)
+        opp = S.edges[opposite_index]
+        grown = (opp.e[0] - d * u[0], opp.e[1] - d * u[1])
+        new_edges.append((grown, opp.nu + (d,) if d > 0 else opp.nu))
+    elif d > 0:  # (3b)
+        new_edges.append(((-d * u[0], -d * u[1]), (d,)))
+
+    return validate(new_edges)
+
+
+def _normalizing_map(S: LogDatum, i: int) -> UnimodularMap:
+    """The canonical SL(2,Z) map for edge i: u_i -> (1,0), next direction
+    normalized by a shear to (p, q) with 0 <= p < q.
+
+    For rank-one data the next direction maps to (-1, 0), which every shear
+    fixes, so no shear is applied (the edge list is shear-independent there).
+    """
+    dirs = S.directions
+    base = to_east(dirs[i])
+    nxt = base.apply(dirs[(i + 1) % len(dirs)])
+    p, q = nxt
+    if q <= 0:
+        # Only possible for the antipode (-1, 0) of a rank-one datum.
+        return base
+    return shear_map(-(p // q)).compose(base)
+
+
+def _candidates(S: LogDatum):
+    """Reference construction of the transformed serializations, one per
+    choice of base edge.
+
+    An orientation-preserving map preserves the counterclockwise cyclic
+    order and sends edge i's direction to (1, 0) — the angle the sort
+    starts from — so the sorted order of the image is just the rotation of
+    the transformed edges starting at i; no re-sort is needed.  The package
+    computes the same minimum with inlined integer arithmetic in
+    logmut.decider._canonical_key; tests pin the two against each other.
+    """
+    edges = S.edges
+    m = len(edges)
+    for i in range(m):
+        A = _normalizing_map(S, i)
+        images = [(A.apply(edge.e), edge.nu) for edge in edges]
+        yield tuple(images[(i + t) % m] for t in range(m))
 
 
 def _is_success(S: LogDatum) -> bool:

@@ -68,6 +68,13 @@ def test_validate_rejects_invalid_datum(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_validate_rejects_inexact_numbers(capsys, monkeypatch):
+    doc = {"edges": [{"e": [1.7, 0], "nu": [1.9]}, {"e": [-1, 0], "nu": [True]}]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = run(capsys, "validate", "-")
+    assert code == 2 and out == "" and "error:" in err
+
+
 def test_validate_rejects_unknown_name_and_bad_json(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "Spike")
     assert code == 1 and "neither a file nor a named datum" in err
@@ -194,6 +201,12 @@ def test_enumerate_from_file(capsys, tmp_path):
 def test_enumerate_rejects_open_polygon(capsys):
     code, _, err = run(capsys, "enumerate", "--edges", "[[1,0],[0,1]]")
     assert code == 2 and "error:" in err
+
+
+def test_enumerate_rejects_inexact_numbers(capsys):
+    for edges in ("[[1.0,0],[-1,0]]", "[[true,0],[-1,0]]", '[["1",0],[-1,0]]'):
+        code, out, err = run(capsys, "enumerate", "--edges", edges)
+        assert code == 2 and out == "" and "not a pair of integers" in err
 
 
 # --- render ---------------------------------------------------------------------

@@ -22,8 +22,8 @@ from logmut import (
     validate,
     verify_certificate,
 )
-from logmut.decider import _candidates
 from logmut.errors import ClosureViolation, IllegalMutation, InvalidDatum
+from oracles import _candidates
 
 
 def test_canonical_tuple_matches_reference_candidates():
@@ -126,16 +126,6 @@ def test_unknown_on_state_limit():
     assert v.is_unknown
 
 
-def test_thread_count_does_not_change_results():
-    for S in (tom_datum(), jerry_datum(), an_datum(4)):
-        base = is_zero_mutable(S)
-        for threads in (2, 4):
-            v = is_zero_mutable(S, threads=threads)
-            assert v.kind == base.kind
-            assert v.certificate.steps == base.certificate.steps
-            assert v.explored == base.explored
-
-
 def test_replay_and_verify():
     S = tom_datum()
     cert = is_zero_mutable(S).certificate
@@ -190,3 +180,9 @@ def test_enumerate_trivial_segment():
 def test_enumerate_rejects_non_closed_edges():
     with pytest.raises(ClosureViolation):
         enumerate_zero_mutable([(1, 0), (0, 1)])
+
+
+def test_enumerate_rejects_inexact_vectors():
+    for vectors in ([(1.0, 0), (-1, 0)], [(True, 0), (-1, 0)], [(1, 0, 0), (-1, 0)]):
+        with pytest.raises(InvalidDatum):
+            enumerate_zero_mutable(vectors)

@@ -212,6 +212,28 @@ def test_datum_from_obj_rejects_garbage():
         datum_from_obj({"edges": "nope"})
 
 
+def test_inexact_input_is_rejected_not_coerced():
+    with pytest.raises(InvalidDatum):
+        datum_from_obj(
+            {"edges": [{"e": [1.7, 0], "nu": [1.9]}, {"e": [-1, 0], "nu": [True]}]}
+        )
+    for nu in ("1", 1, None):
+        with pytest.raises(InvalidDatum):
+            datum_from_obj(
+                {"edges": [{"e": [1, 0], "nu": nu}, {"e": [-1, 0], "nu": [1]}]}
+            )
+    for edges in (
+        [((True, 0), (1,)), ((-1.0, 0), (1,))],
+        [((1.0, 0), (1,)), ((-1, 0), (1,))],
+        [(("1", 0), (1,)), ((-1, 0), (1,))],
+        [((1, 0, 0), (1,)), ((-1, 0), (1,))],
+        [((1, 0), (1.0,)), ((-1, 0), (1,))],
+        [((1, 0), (True,)), ((-1, 0), (1,))],
+    ):
+        with pytest.raises(InvalidDatum):
+            validate(edges)
+
+
 def test_partitions_of_descending_lexicographic():
     assert partitions_of(3) == [(3,), (2, 1), (1, 1, 1)]
     assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]

@@ -13,13 +13,17 @@ from logmut import (
     is_zero_mutable,
     legal_mutations,
     mutate,
+    mutate_with_trace,
+    sform,
     u_height,
     validate,
     verify_certificate,
 )
 from logmut.decider import _canonical_state
+from logmut.mutation import _expand_state, _state
 
 from conftest import random_datum, random_unimodular
+import oracles
 
 CASES = 500
 
@@ -81,6 +85,61 @@ def test_mutation_commutes_with_lattice_maps():
                 break
         assert image_dir is not None  # A permutes the edges
         assert apply_to_datum(A, mutate(S, j, k)) == mutate(AS, image_dir, k)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception type is compared
+        return type(exc)
+
+
+def test_kernel_mutate_matches_the_literal_rules():
+    """mutate runs the flat-state kernel; oracles.mutate applies the rules
+    to objects.  Every (j, k), in range or not, of CASES data with few
+    distinct directions (so -u_j edges occur) and of CASES general data
+    must give equal data or the same exception type."""
+    rng = random.Random(607)
+    branches = set()
+    legal = 0
+    for bound in (2, 20):
+        for _ in range(CASES):
+            S = random_datum(rng, max_edges=6, coord_bound=bound)
+            for j in range(len(S) + 2):
+                parts = len(S.edges[j - 1].nu) if 1 <= j <= len(S) else 1
+                for k in range(parts + 2):
+                    T = _outcome(mutate, S, j, k)
+                    assert T == _outcome(oracles.mutate, S, j, k), (S, j, k)
+                    if isinstance(T, type):
+                        continue
+                    legal += 1
+                    T_traced, trace = mutate_with_trace(S, j, k)
+                    assert T_traced == T
+                    branches.update(line[: line.index(")") + 1] for line in trace)
+                    u = S.directions[j - 1]
+                    sheared = [
+                        f"(1) edge {i} sheared: {e} -> "
+                        f"{(e[0] + sform(u, e) * u[0], e[1] + sform(u, e) * u[1])}"
+                        for i, (e, _) in enumerate(S.serialize(), start=1)
+                        if sform(u, e) > 0
+                    ]
+                    assert [l for l in trace if l.startswith("(1)")] == sheared
+    assert legal >= CASES
+    assert branches == {"(1)", "(2a)", "(2b)", "(3a)", "(3b)"}
+
+
+def test_search_children_are_the_validated_mutations():
+    """The search takes the kernel's children as they are, with no
+    validate: each must already be the state of the validated datum, cut
+    east-first with sorted partitions, or certificates would address the
+    wrong edges."""
+    rng = random.Random(608)
+    for bound in (2, 20):
+        for _ in range(CASES):
+            S = random_datum(rng, max_edges=6, coord_bound=bound)
+            for edge, part, child, _ in _expand_state(_state(S.serialize())):
+                k = S.edges[edge - 1].nu.index(part) + 1
+                assert child == _state(oracles.mutate(S, edge, k).serialize())
 
 
 def test_canonical_form_is_idempotent_and_invariant():
