@@ -9,7 +9,7 @@ existing file path is read as JSON; otherwise it must be a named datum
 Exit codes:
   0  success (decide: verdict Yes)
   1  I/O or parse error (bad JSON, unknown name, bad polynomial text)
-  2  invalid datum or ill-shaped wall-assignment input
+  2  invalid datum, ill-shaped wall-assignment input, or a negative search limit
   3  illegal mutation
   4  decide: verdict No
   5  decide: verdict Unknown
@@ -36,10 +36,9 @@ from .mutation import mutate_with_trace, part_index
 from .render import RenderSpec, render_svg
 from .wallfn import (
     WallAssignment,
+    _wall_reports,
     format_bipoly,
     generic_wall_assignment,
-    is_generic,
-    is_subordinate,
     joint_compatible,
     kinks,
 )
@@ -117,11 +116,20 @@ def _verdict_exit(verdict: Verdict) -> int:
     return {"yes": 0, "no": 4, "unknown": 5}[verdict.kind]
 
 
+def _limits(args) -> dict:
+    for flag, value in (
+        ("--max-depth", args.max_depth),
+        ("--max-states", args.max_states),
+    ):
+        if value < 0:
+            raise LogMutError(f"{flag} must be non-negative, got {value}")
+    return {"max_depth": args.max_depth, "max_states": args.max_states}
+
+
 def cmd_decide(args) -> int:
+    limits = _limits(args)
     S = load_datum(args.datum)
-    verdict = is_zero_mutable(
-        S, max_depth=args.max_depth, max_states=args.max_states
-    )
+    verdict = is_zero_mutable(S, **limits)
     cert = verdict.certificate
     if args.certificate and cert is not None:
         with open(args.certificate, "w") as fh:
@@ -162,15 +170,14 @@ def cmd_decide(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    limits = _limits(args)
     if os.path.exists(args.edges):
         with open(args.edges) as fh:
             raw = json.load(fh)
     else:
         raw = json.loads(args.edges)
     vectors = [tuple(v) for v in raw]
-    results = enumerate_zero_mutable(
-        vectors, max_depth=args.max_depth, max_states=args.max_states
-    )
+    results = enumerate_zero_mutable(vectors, **limits)
     if args.json:
         print(
             json.dumps(
@@ -224,13 +231,11 @@ def cmd_render(args) -> int:
 
 def _wall_checks(S: LogDatum, W: WallAssignment) -> dict:
     checks: dict = {"joint_compatible": joint_compatible(S, W)}
-    sub = is_subordinate(S, W)
+    sub, gen = _wall_reports(S, W, {})
     checks["subordinate"] = {"ok": sub.ok, "problems": list(sub.problems)}
-    if sub:
-        gen = is_generic(S, W)
-        checks["generic"] = {"ok": gen.ok, "problems": list(gen.problems)}
-    else:
-        checks["generic"] = None
+    checks["generic"] = (
+        None if gen is None else {"ok": gen.ok, "problems": list(gen.problems)}
+    )
     return checks
 
 
@@ -311,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="logmut",
         description="Exact mutation calculus for log data on an oriented "
         "rank-2 lattice.",
-        epilog="exit codes: 0 ok/Yes, 1 I/O or parse error, 2 invalid datum, "
+        epilog="exit codes: 0 ok/Yes, 1 I/O or parse error, 2 invalid input, "
         "3 illegal mutation, 4 No, 5 Unknown",
     )
     sub = parser.add_subparsers(dest="command", required=True)

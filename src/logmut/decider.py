@@ -140,10 +140,13 @@ class Certificate:
 
     @staticmethod
     def from_obj(obj: dict) -> "Certificate":
-        steps = tuple(
-            CertStep(int(s["edge"]), int(s["part"])) for s in obj["steps"]
-        )
-        return Certificate(steps, datum_from_obj(obj["terminal"]))
+        steps = []
+        for s in obj["steps"]:
+            edge, part = s["edge"], s["part"]
+            if type(edge) is not int or type(part) is not int:
+                raise InvalidDatum(f"certificate step {s!r} is not a pair of integers")
+            steps.append(CertStep(edge, part))
+        return Certificate(tuple(steps), datum_from_obj(obj["terminal"]))
 
 
 @dataclass(frozen=True)

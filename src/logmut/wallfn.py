@@ -25,11 +25,22 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import sympy
+from sympy.polys.groebnertools import groebner
 
-from .errors import ShapeMismatch, SubordinationRequired, WallSynthesisError
+from .errors import (
+    InvalidDatum,
+    ShapeMismatch,
+    SubordinationRequired,
+    WallSynthesisError,
+)
 from .logdatum import LogDatum
 
-_X, _U = sympy.symbols("x u")
+# The checks run on sympy's sparse polynomial rings over QQ: Q[x, u] in
+# grevlex order for the Groebner bases, and Q[u, x] for the resultants, whose
+# resultant() eliminates the first generator u and lands in Q[x].
+_QQ = sympy.QQ
+_XU = sympy.ring("x,u", _QQ, sympy.grevlex)[0]
+_UX = sympy.ring("u,x", _QQ, sympy.lex)[0]
 
 
 @dataclass(frozen=True)
@@ -126,16 +137,6 @@ class BiPoly:
     def is_u_power(self, n: int) -> bool:
         return self.terms == (((0, n), Fraction(1)),)
 
-    def to_sympy(self):
-        if not self.terms:
-            return sympy.Integer(0)
-        return sympy.Add(
-            *[
-                sympy.Rational(c.numerator, c.denominator) * _X**dx * _U**du
-                for (dx, du), c in self.terms
-            ]
-        )
-
     def __str__(self) -> str:
         return format_bipoly(self)
 
@@ -153,7 +154,20 @@ def product(factors: Iterable[BiPoly]) -> BiPoly:
 
 # --- text and JSON formats ---------------------------------------------------
 
-_FACTOR_RE = re.compile(r"^(?:(-?\d+(?:/\d+)?)|([xzu])(?:\^(\d+))?)$")
+_RATIONAL = r"-?\d+(?:/\d+)?"
+_RATIONAL_RE = re.compile(_RATIONAL)
+_FACTOR_RE = re.compile(rf"^(?:({_RATIONAL})|([xzu])(?:\^(\d+))?)$")
+
+
+def _rational(text: str) -> Fraction:
+    """A coefficient written "p" or "p/q"; ValueError for other text (no
+    decimals or exponents) and for q = 0."""
+    if _RATIONAL_RE.fullmatch(text):
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            pass
+    raise ValueError(f"coefficient {text!r} is not an integer or p/q with q > 0")
 
 
 def parse_bipoly(text: str) -> BiPoly:
@@ -178,7 +192,7 @@ def parse_bipoly(text: str) -> BiPoly:
                 raise ValueError(f"cannot parse term factor {factor!r} in {text!r}")
             num, var, exp = m.groups()
             if num is not None:
-                coef *= Fraction(num)
+                coef *= _rational(num)
             else:
                 e = int(exp) if exp else 1
                 if var == "u":
@@ -215,9 +229,29 @@ def bipoly_to_obj(f: BiPoly) -> list:
 
 
 def bipoly_from_obj(obj) -> BiPoly:
+    """Inverse of bipoly_to_obj; polynomial text is accepted too.  Degrees
+    must be ints and coefficients ints or "p/q" strings: a bool or float
+    raises InvalidDatum, anything not a list of triples ShapeMismatch."""
     if isinstance(obj, str):
         return parse_bipoly(obj)
-    return BiPoly.from_terms({(int(a), int(b)): Fraction(c) for a, b, c in obj})
+    if type(obj) not in (list, tuple):
+        raise ShapeMismatch(f"polynomial {obj!r} is neither text nor a list of terms")
+    terms: dict[tuple[int, int], Fraction] = {}
+    for term in obj:
+        if type(term) not in (list, tuple) or len(term) != 3:
+            raise ShapeMismatch(
+                f"polynomial term {term!r} is not an "
+                "[x_degree, u_degree, coefficient] triple"
+            )
+        a, b, c = term
+        exact = type(a) is int and type(b) is int and type(c) in (int, str, Fraction)
+        if not exact:
+            raise InvalidDatum(
+                f"polynomial term {term!r} has an inexact degree or coefficient"
+            )
+        c = _rational(c) if type(c) is str else Fraction(c)
+        terms[(a, b)] = terms.get((a, b), Fraction(0)) + c
+    return BiPoly.from_terms(terms)
 
 
 @dataclass(frozen=True)
@@ -230,8 +264,16 @@ class WallAssignment:
         return {"walls": [[bipoly_to_obj(f) for f in wall] for wall in self.factors]}
 
     @staticmethod
-    def from_obj(obj: dict) -> "WallAssignment":
-        walls = obj["walls"] if isinstance(obj, dict) else obj
+    def from_obj(obj) -> "WallAssignment":
+        """From to_obj's {"walls": [...]} or the bare list of walls; each wall
+        is a list of bipoly_from_obj factors (ShapeMismatch otherwise)."""
+        walls = obj.get("walls") if isinstance(obj, dict) else obj
+        if type(walls) not in (list, tuple) or any(
+            type(wall) not in (list, tuple) for wall in walls
+        ):
+            raise ShapeMismatch(
+                "a wall assignment is a list of walls, each a list of factors"
+            )
         return WallAssignment(
             tuple(tuple(bipoly_from_obj(f) for f in wall) for wall in walls)
         )
@@ -271,17 +313,49 @@ def is_smooth_curve(f: BiPoly) -> bool:
     Q[x, u], i.e. the reduced Groebner basis being [1]; Groebner bases over Q
     do not change under field extension, so this is exact.
     """
-    expr = f.to_sympy()
-    gb = sympy.groebner(
-        [expr, expr.diff(_X), expr.diff(_U)], _X, _U, order="grevlex"
+    p = _XU.from_dict({k: _QQ(c.numerator, c.denominator) for k, c in f.terms})
+    # groebner() divides by its generators, so zeros are left out (f = 0
+    # leaves none, and the empty basis is not [1]).
+    gens = [g for g in (p, p.diff(0), p.diff(1)) if g]
+    return groebner(gens, _XU) == [_XU.one]
+
+
+def _in_ux(f: BiPoly):
+    return _UX.from_dict(
+        {(du, dx): _QQ(c.numerator, c.denominator) for (dx, du), c in f.terms}
     )
-    return list(gb.exprs) == [sympy.Integer(1)]
 
 
-def is_subordinate(S: LogDatum, W: WallAssignment) -> CheckReport:
-    """One factor per part, each restricting to u^{l_{i,k}} with a smooth
-    zero curve.  Factor-count mismatches are reported as failures (not
-    exceptions); ShapeMismatch is raised only for a wall-count mismatch."""
+def _resultant_u(f: BiPoly, g: BiPoly):
+    """Res_u(f, g) as an element of Q[x]."""
+    return _in_ux(f).resultant(_in_ux(g))
+
+
+def _smooth(f: BiPoly, smooth: dict[BiPoly, bool]) -> bool:
+    """is_smooth_curve(f), decided once per `smooth`, a dict that lives for
+    one public call."""
+    known = smooth.get(f)
+    if known is None:
+        known = smooth[f] = is_smooth_curve(f)
+    return known
+
+
+def _proportional(f: BiPoly, g: BiPoly) -> bool:
+    if f.is_zero() or g.is_zero():
+        return f.is_zero() and g.is_zero()
+    fd, gd = f.as_dict(), g.as_dict()
+    if set(fd) != set(gd):
+        return False
+    ratios = {gd[k] / fd[k] for k in fd}
+    return len(ratios) == 1
+
+
+def _wall_reports(
+    S: LogDatum, W: WallAssignment, smooth: dict[BiPoly, bool], generic: bool = True
+) -> tuple[CheckReport, CheckReport | None]:
+    """The is_subordinate report and, if `generic` and the assignment is
+    subordinate, the is_generic report (else None); each distinct factor's
+    smoothness is decided once through `smooth`."""
     _check_shape(S, W)
     problems = []
     for i, (edge, wall) in enumerate(zip(S.edges, W.factors), start=1):
@@ -297,35 +371,11 @@ def is_subordinate(S: LogDatum, W: WallAssignment) -> CheckReport:
                     f"wall {i} factor {k}: restriction {factor.restrict_to_u()} "
                     f"!= u^{part}"
                 )
-            elif not is_smooth_curve(factor):
+            elif not _smooth(factor, smooth):
                 problems.append(f"wall {i} factor {k}: zero curve is singular")
-    return CheckReport(not problems, tuple(problems))
-
-
-def _proportional(f: BiPoly, g: BiPoly) -> bool:
-    if f.is_zero() or g.is_zero():
-        return f.is_zero() and g.is_zero()
-    fd, gd = f.as_dict(), g.as_dict()
-    if set(fd) != set(gd):
-        return False
-    ratios = {gd[k] / fd[k] for k in fd}
-    return len(ratios) == 1
-
-
-def is_generic(S: LogDatum, W: WallAssignment) -> CheckReport:
-    """Within each wall: factors pairwise non-proportional, and every pairwise
-    resultant Res_u is a nonzero constant times a power of x.
-
-    Requires a subordinate assignment (raises SubordinationRequired
-    otherwise); curves on different walls live on different surfaces and are
-    not compared.
-    """
-    sub = is_subordinate(S, W)
-    if not sub:
-        raise SubordinationRequired(
-            "genericity needs a subordinate assignment; problems: "
-            + "; ".join(sub.problems)
-        )
+    sub = CheckReport(not problems, tuple(problems))
+    if not (generic and sub):
+        return sub, None
     problems = []
     for i, wall in enumerate(W.factors, start=1):
         for a in range(len(wall)):
@@ -336,14 +386,37 @@ def is_generic(S: LogDatum, W: WallAssignment) -> CheckReport:
                         f"wall {i}: factors {a + 1} and {b + 1} are proportional"
                     )
                     continue
-                res = sympy.resultant(f.to_sympy(), g.to_sympy(), _U)
-                poly = sympy.Poly(res, _X)
-                if poly.is_zero or len(poly.terms()) != 1:
+                res = _resultant_u(f, g)
+                if len(res) != 1:  # zero, or more than one term
                     problems.append(
-                        f"wall {i}: Res_u(factor {a + 1}, factor {b + 1}) = {res} "
-                        "is not a nonzero constant times a power of x"
+                        f"wall {i}: Res_u(factor {a + 1}, factor {b + 1}) = "
+                        f"{res.as_expr()} is not a nonzero constant times a power of x"
                     )
-    return CheckReport(not problems, tuple(problems))
+    return sub, CheckReport(not problems, tuple(problems))
+
+
+def is_subordinate(S: LogDatum, W: WallAssignment) -> CheckReport:
+    """One factor per part, each restricting to u^{l_{i,k}} with a smooth
+    zero curve.  Factor-count mismatches are reported as failures (not
+    exceptions); ShapeMismatch is raised only for a wall-count mismatch."""
+    return _wall_reports(S, W, {}, generic=False)[0]
+
+
+def is_generic(S: LogDatum, W: WallAssignment) -> CheckReport:
+    """Within each wall: factors pairwise non-proportional, and every pairwise
+    resultant Res_u is a nonzero constant times a power of x.
+
+    Requires a subordinate assignment (raises SubordinationRequired
+    otherwise); curves on different walls live on different surfaces and are
+    not compared.
+    """
+    sub, gen = _wall_reports(S, W, {})
+    if gen is None:
+        raise SubordinationRequired(
+            "genericity needs a subordinate assignment; problems: "
+            + "; ".join(sub.problems)
+        )
+    return gen
 
 
 def kinks(S: LogDatum) -> tuple[int, ...]:
@@ -382,11 +455,12 @@ def generic_wall_assignment(S: LogDatum, seed: int) -> WallAssignment:
             below += v * edge.nu.count(v)
 
     rng = random.Random(seed)
+    smooth: dict[BiPoly, bool] = {}
     for _ in range(50):
         walls = []
         ok = True
         for edge in S.edges:
-            wall = _synthesize_wall(edge.nu, rng)
+            wall = _synthesize_wall(edge.nu, rng, smooth)
             if wall is None:
                 ok = False
                 break
@@ -394,14 +468,14 @@ def generic_wall_assignment(S: LogDatum, seed: int) -> WallAssignment:
         if not ok:
             continue
         W = WallAssignment(tuple(walls))
-        if is_subordinate(S, W) and is_generic(S, W):
+        if _wall_reports(S, W, smooth)[1]:
             return W
     raise WallSynthesisError(
         "could not draw a generic assignment in 50 attempts"
     )  # pragma: no cover - the tower construction passes on the first draw
 
 
-def _synthesize_wall(nu, rng: random.Random):
+def _synthesize_wall(nu, rng: random.Random, smooth: dict[BiPoly, bool]):
     """Factors for one wall, returned in the partition's (descending) order."""
     x = BiPoly.monomial(1, 1, 0)
     by_value: dict[int, list[BiPoly]] = {}
@@ -416,7 +490,7 @@ def _synthesize_wall(nu, rng: random.Random):
                 gammas.append(g)
         base = BiPoly.u_power(v - below) * core
         group = [base + x.scale(g) for g in gammas]
-        if not all(is_smooth_curve(f) for f in group):
+        if not all(_smooth(f, smooth) for f in group):
             return None  # redraw with fresh randomness
         by_value[v] = group
         for f in group:

@@ -4,7 +4,8 @@ These deliberately take different routes than the package code: the
 mutation rules on LogDatum objects instead of the package's flat-state
 kernel, canonical keys from explicit SL(2,Z) maps, iterative deepening
 instead of breadth-first search, subset enumeration by sizes instead of
-bitmasks, and numeric sampling next to Groebner bases.
+bitmasks, numeric sampling next to Groebner bases, and the wall checks on
+sympy expressions instead of sympy's polynomial rings.
 """
 from __future__ import annotations
 
@@ -13,9 +14,13 @@ from functools import reduce
 from itertools import combinations
 from math import gcd
 
+import sympy
+
 from logmut import (
+    BiPoly,
     LogDatum,
     UnimodularMap,
+    WallAssignment,
     canonical_tuple,
     legal_mutations,
     shear_map,
@@ -205,3 +210,75 @@ def singular_point_search(f, box: int = 6, denominators=(1, 2, 3)):
             ):
                 return (x0, u0)
     return None
+
+
+# --- wall checks on sympy expressions ------------------------------------------
+
+_X, _U = sympy.symbols("x u")
+
+
+def to_sympy(f: BiPoly):
+    """f as a sympy expression in x and u."""
+    return sympy.Add(
+        *[
+            sympy.Rational(c.numerator, c.denominator) * _X**dx * _U**du
+            for (dx, du), c in f.terms
+        ]
+    )
+
+
+def is_smooth_curve(f: BiPoly) -> bool:
+    """The reduced Groebner basis of (f, df/dx, df/du) is [1], by
+    sympy.groebner on expressions."""
+    expr = to_sympy(f)
+    gb = sympy.groebner(
+        [expr, expr.diff(_X), expr.diff(_U)], _X, _U, order="grevlex"
+    )
+    return list(gb.exprs) == [sympy.Integer(1)]
+
+
+def resultant_u(f: BiPoly, g: BiPoly):
+    """Res_u(f, g) as a sympy expression in x."""
+    return sympy.resultant(to_sympy(f), to_sympy(g), _U)
+
+
+def wall_problems(
+    S: LogDatum, W: WallAssignment
+) -> tuple[tuple[str, ...], tuple[str, ...] | None]:
+    """The problems is_subordinate reports and, for a subordinate assignment,
+    those is_generic reports (else None), decided on sympy expressions:
+    restriction by substituting x = 0, proportionality by cancelling the
+    quotient, and the resultant's shape by sympy.Poly."""
+    problems = []
+    for i, (edge, wall) in enumerate(zip(S.edges, W.factors), start=1):
+        if len(wall) != len(edge.nu):
+            problems.append(
+                f"wall {i}: {len(wall)} factors for partition {edge.nu} "
+                f"({len(edge.nu)} parts expected)"
+            )
+            continue
+        for k, (factor, part) in enumerate(zip(wall, edge.nu), start=1):
+            if to_sympy(factor).subs(_X, 0) != _U**part:
+                problems.append(
+                    f"wall {i} factor {k}: restriction {factor.restrict_to_u()} "
+                    f"!= u^{part}"
+                )
+            elif not is_smooth_curve(factor):
+                problems.append(f"wall {i} factor {k}: zero curve is singular")
+    if problems:
+        return tuple(problems), None
+    generic = []
+    for i, wall in enumerate(W.factors, start=1):
+        for a, b in combinations(range(len(wall)), 2):
+            quotient = sympy.cancel(to_sympy(wall[b]) / to_sympy(wall[a]))
+            if not quotient.free_symbols:
+                generic.append(f"wall {i}: factors {a + 1} and {b + 1} are proportional")
+                continue
+            res = resultant_u(wall[a], wall[b])
+            poly = sympy.Poly(res, _X)
+            if poly.is_zero or len(poly.terms()) != 1:
+                generic.append(
+                    f"wall {i}: Res_u(factor {a + 1}, factor {b + 1}) = {res} "
+                    "is not a nonzero constant times a power of x"
+                )
+    return (), tuple(generic)

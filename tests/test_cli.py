@@ -158,6 +158,16 @@ def test_decide_unknown_exits_5(capsys):
     assert code == 5 and "Unknown: search limits reached" in out
 
 
+def test_negative_limits_exit_2(capsys):
+    for command in (["decide", "Tom"], ["enumerate", "--edges", "[[3,0],[0,2],[-3,-2]]"]):
+        for flag, value in (("--max-states", "-5"), ("--max-depth", "-1")):
+            code, out, err = run(capsys, *command, flag, value)
+            assert (code, out) == (2, ""), (command, flag)
+            assert err == f"error: {flag} must be non-negative, got {value}\n"
+    code, out, _ = run(capsys, "decide", "An(0)", "--max-depth", "0", "--max-states", "0")
+    assert code == 5 and out.startswith("Unknown: search limits reached")  # zero is a limit
+
+
 def test_decide_human_output_lists_steps(capsys):
     code, out, _ = run(capsys, "decide", "An(1)")
     assert code == 0
@@ -275,9 +285,137 @@ def test_report_flags_failing_walls(capsys, tmp_path):
 
 def test_report_shape_mismatch_exits_2(capsys, tmp_path):
     path = tmp_path / "walls.json"
-    path.write_text(json.dumps({"walls": [["u"], ["u"]]}))
-    code, _, err = run(capsys, "report", "Tom", "--walls", str(path))
-    assert code == 2 and "error:" in err
+    for doc in (
+        {"walls": [["u"], ["u"]]},
+        {"walls": 5},
+        {"nothing": []},
+        {"walls": [["u"], [7], ["u"]]},
+        {"walls": [[[[0, 1, "1"]]], [[[1.9, True, "1"], [0, 1, "1"]]], ["u"]]},
+        {"walls": [["u^2 + x", "u"], ["u", [[0, 1, 1.0]]], ["u"]]},
+    ):
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "report", "Tom", "--walls", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: "), doc
+
+
+# Byte-for-byte report output; wall checks run on polynomial rings, and
+# these pin the text they print, resultants with rational coefficients and
+# a zero resultant included.
+TOM_REPORT = """\
+datum (3 edges, counterclockwise):
+  1: e=(3, 0) nu=(2, 1)
+  2: e=(0, 2) nu=(1, 1)
+  3: e=(-3, -2) nu=(1,)
+fan presentation in L + Z (joint ray (0, 0, 1)):
+  cone 1: generated by (1, 0, 0), (0, 1, 0), (0, 0, 1)
+  cone 2: generated by (0, 1, 0), (-3, -2, 0), (0, 0, 1)
+  cone 3: generated by (-3, -2, 0), (1, 0, 0), (0, 0, 1)
+  walls: <(1, 0, 0), (0, 0, 1)>, <(0, 1, 0), (0, 0, 1)>, <(-3, -2, 0), (0, 0, 1)>
+boundary components:
+  1: index 1, smooth
+  2: index 3, 1/3(1,1,0)
+  3: index 2, 1/2(1,1,0)
+kinks (one per wall): (3, 2, 1)
+"""
+TOM_JSON = (
+    '{"fan": {"maximal_cones": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [-3, -2, 0], '
+    '[0, 0, 1]], [[-3, -2, 0], [1, 0, 0], [0, 0, 1]]], "walls": [[[1, 0, 0], [0, 0, 1]], '
+    '[[0, 1, 0], [0, 0, 1]], [[-3, -2, 0], [0, 0, 1]]], "joint": [0, 0, 1]}, "components": '
+    '[{"index": 1, "label": "smooth"}, {"index": 3, "label": "1/3(1,1,0)"}, {"index": 2, '
+    '"label": "1/2(1,1,0)"}], "kinks": [3, 2, 1], '
+)
+NOT_SUBORDINATE = {"walls": [["u^2 - x^2", "u + 2*x + u^2"], ["u + x"], ["u"]]}
+NOT_GENERIC = {
+    "walls": [
+        ["u^2 + 1/2*x", "u - 3/4*x"],
+        ["u + x + u^2*x + 2*u*x^2 + x^3", "u + x"],
+        ["u - x"],
+    ]
+}
+
+
+def test_report_gen_walls_output_is_pinned(capsys):
+    code, out, err = run(capsys, "report", "Tom", "--gen-walls", "7")
+    assert (code, err) == (0, "")
+    assert out == TOM_REPORT + """\
+synthesized wall functions (seed 7):
+  f[1,1] = u^2 - 6*u*x + x
+  f[1,2] = u - 6*x
+  f[2,1] = u + 2*x
+  f[2,2] = u + 9*x
+  f[3,1] = u - x
+wall checks:
+  joint compatible: yes
+  subordinate: yes
+  generic: yes
+"""
+    code, out, err = run(capsys, "report", "Tom", "--gen-walls", "7", "--json")
+    assert (code, err) == (0, "")
+    assert out == TOM_JSON + (
+        '"walls_input": {"walls": [[[[0, 2, "1"], [1, 0, "1"], [1, 1, "-6"]], [[0, 1, "1"], '
+        '[1, 0, "-6"]]], [[[0, 1, "1"], [1, 0, "2"]], [[0, 1, "1"], [1, 0, "9"]]], [[[0, 1, '
+        '"1"], [1, 0, "-1"]]]]}, "wall_checks": {"joint_compatible": true, "subordinate": '
+        '{"ok": true, "problems": []}, "generic": {"ok": true, "problems": []}}}\n'
+    )
+
+
+def test_report_failing_walls_output_is_pinned(capsys, tmp_path):
+    path = tmp_path / "walls.json"
+    path.write_text(json.dumps(NOT_SUBORDINATE))
+    code, out, err = run(capsys, "report", "Tom", "--walls", str(path))
+    assert (code, err) == (0, "")
+    assert out == TOM_REPORT + f"""\
+wall functions from {path}:
+  f[1,1] = u^2 - x^2
+  f[1,2] = u^2 + u + 2*x
+  f[2,1] = u + x
+  f[3,1] = u
+wall checks:
+  joint compatible: no
+  subordinate: no
+    - wall 1 factor 1: zero curve is singular
+    - wall 1 factor 2: restriction u^2 + u != u^1
+    - wall 2: 1 factors for partition (1, 1) (2 parts expected)
+  generic: skipped (requires a subordinate assignment)
+"""
+    code, out, err = run(capsys, "report", "Tom", "--walls", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert out == TOM_JSON + (
+        '"walls_input": {"walls": [[[[0, 2, "1"], [2, 0, "-1"]], [[0, 1, "1"], [0, 2, "1"], '
+        '[1, 0, "2"]]], [[[0, 1, "1"], [1, 0, "1"]]], [[[0, 1, "1"]]]]}, "wall_checks": '
+        '{"joint_compatible": false, "subordinate": {"ok": false, "problems": ["wall 1 factor '
+        '1: zero curve is singular", "wall 1 factor 2: restriction u^2 + u != u^1", "wall 2: 1 '
+        'factors for partition (1, 1) (2 parts expected)"]}, "generic": null}}\n'
+    )
+
+    path.write_text(json.dumps(NOT_GENERIC))
+    code, out, err = run(capsys, "report", "Tom", "--walls", str(path))
+    assert (code, err) == (0, "")
+    assert out == TOM_REPORT + f"""\
+wall functions from {path}:
+  f[1,1] = u^2 + 1/2*x
+  f[1,2] = u - 3/4*x
+  f[2,1] = u^2*x + 2*u*x^2 + u + x^3 + x
+  f[2,2] = u + x
+  f[3,1] = u - x
+wall checks:
+  joint compatible: yes
+  subordinate: yes
+  generic: no
+    - wall 1: Res_u(factor 1, factor 2) = 9*x**2/16 + x/2 is not a nonzero constant times a power of x
+    - wall 2: Res_u(factor 1, factor 2) = 0 is not a nonzero constant times a power of x
+"""
+    code, out, err = run(capsys, "report", "Tom", "--walls", str(path), "--json")
+    assert (code, err) == (0, "")
+    assert out == TOM_JSON + (
+        '"walls_input": {"walls": [[[[0, 2, "1"], [1, 0, "1/2"]], [[0, 1, "1"], [1, 0, '
+        '"-3/4"]]], [[[0, 1, "1"], [1, 0, "1"], [1, 2, "1"], [2, 1, "2"], [3, 0, "1"]], '
+        '[[0, 1, "1"], [1, 0, "1"]]], [[[0, 1, "1"], [1, 0, "-1"]]]]}, "wall_checks": '
+        '{"joint_compatible": true, "subordinate": {"ok": true, "problems": []}, "generic": '
+        '{"ok": false, "problems": ["wall 1: Res_u(factor 1, factor 2) = 9*x**2/16 + x/2 is '
+        'not a nonzero constant times a power of x", "wall 2: Res_u(factor 1, factor 2) = 0 '
+        'is not a nonzero constant times a power of x"]}}}\n'
+    )
 
 
 def test_report_synthesis_failure_exits_2(capsys, tmp_path):

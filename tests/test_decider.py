@@ -145,6 +145,13 @@ def test_certificate_json_round_trip():
     assert all(set(step) == {"edge", "part"} for step in obj["steps"])
 
 
+def test_certificate_json_rejects_inexact_steps():
+    terminal = datum_to_obj(an_datum(0))
+    for step in ({"edge": 1.7, "part": True}, {"edge": 1, "part": 1.0}, {"edge": "1", "part": 1}):
+        with pytest.raises(InvalidDatum):
+            Certificate.from_obj({"steps": [step], "terminal": terminal})
+
+
 def test_certificate_part_is_a_value_not_an_index():
     # Tom's first certificate step removes the part of value 2 from edge 1,
     # which sits at index 1; a later datum could have it at another index.

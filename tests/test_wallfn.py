@@ -1,8 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from logmut import (
     BiPoly,
     CheckReport,
@@ -22,7 +24,14 @@ from logmut import (
     tom_datum,
     validate,
 )
-from logmut.errors import ShapeMismatch, SubordinationRequired, WallSynthesisError
+from logmut import wallfn
+from logmut.cli import _wall_checks
+from logmut.errors import (
+    InvalidDatum,
+    ShapeMismatch,
+    SubordinationRequired,
+    WallSynthesisError,
+)
 
 from oracles import singular_point_search
 
@@ -89,9 +98,12 @@ def test_parse_accepts_z_and_spaces():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("", "u^", "u**2", "y + 1", "3x"):
+    for bad in ("", "u^", "u**2", "y + 1", "3x", "u + 1/0*x", "u - 2/00"):
         with pytest.raises(ValueError):
             parse_bipoly(bad)
+    for coefficient in ("1/0", "1.5", "1e999999999", "", " 1", "1/-2"):
+        with pytest.raises(ValueError):
+            bipoly_from_obj([[0, 1, coefficient]])
 
 
 def test_format_round_trips():
@@ -109,6 +121,25 @@ def test_json_round_trips():
     assert bipoly_from_obj("u^2 - 1/2*x") == f  # strings accepted too
     W = WallAssignment(((U, U + X), (P("u^2 + x"),)))
     assert WallAssignment.from_obj(json.loads(json.dumps(W.to_obj()))) == W
+    assert bipoly_from_obj([[0, 1, 1], [1, 0, "1/2"], [1, 0, "1/2"]]) == P("u + x")
+
+
+def test_json_rejects_inexact_terms():
+    for obj in (
+        [[1.9, True, "1"], [0, 1, "1"]],
+        [[1, 0, 1.5]],
+        [[1, 0, True]],
+        [[1.0, 0, "1"]],
+        [[1, None, "1"]],
+    ):
+        with pytest.raises(InvalidDatum):
+            bipoly_from_obj(obj)
+
+
+def test_json_rejects_ill_shaped_assignments():
+    for obj in ({"walls": 5}, {}, 5, {"walls": ["u"]}, {"walls": [[5]]}, {"walls": [[[[0, 1]]]]}):
+        with pytest.raises(ShapeMismatch):
+            WallAssignment.from_obj(obj)
 
 
 # --- smoothness ---------------------------------------------------------------
@@ -268,3 +299,152 @@ def test_synthesis_refuses_partition_without_dominant_tower():
         generic_wall_assignment(S, seed=1)
     assert "(2, 1, 1, 1)" in str(err.value)
     assert "no dominant-tower assignment exists" in str(err.value)
+
+
+# --- the ring-level checks against the expression-level reference --------------
+
+# The 30 data of the benchmark's walls workload: every partition admits a
+# dominant tower, and (1^8), (4,2,1,1) and (8) give the heaviest walls.
+TOWER_DATA = (
+    (((3, 0), (2, 1)), ((0, 2), (1, 1)), ((-3, -2), (1,))),
+    (((1, 0), (1,)), ((0, 8), (1,) * 8), ((-1, -8), (1,))),
+    (((8, 0), (8,)), ((0, 1), (1,)), ((-8, -1), (1,))),
+    (((8, 0), (4, 2, 1, 1)), ((0, 3), (3,)), ((-8, -3), (1,))),
+    (((2, 4), (2,)), ((-2, 2), (1, 1)), ((-4, -3), (1,)), ((4, -3), (1,))),
+    (((2, 2), (2,)), ((-3, -1), (1,)), ((1, -1), (1,))),
+    (((0, 4), (1, 1, 1, 1)), ((-2, -3), (1,)), ((2, -1), (1,))),
+    (((0, 4), (2, 2)), ((-4, -1), (1,)), ((4, -3), (1,))),
+    (((3, 1), (1,)), ((-1, 1), (1,)), ((-2, -1), (1,)), ((0, -1), (1,))),
+    (((3, 2), (1,)), ((1, 1), (1,)), ((-4, -3), (1,))),
+    (((2, 2), (1, 1)), ((-3, 2), (1,)), ((-2, -1), (1,)), ((3, -3), (2, 1))),
+    (((4, 1), (1,)), ((-2, 2), (1, 1)), ((-2, 1), (1,)), ((0, -4), (1, 1, 1, 1))),
+    (((0, 4), (1, 1, 1, 1)), ((-1, 3), (1,)), ((-1, -3), (1,)), ((2, -4), (2,))),
+    (((5, 0), (2, 2, 1)), ((-2, 4), (1, 1)), ((-3, -4), (1,))),
+    (((1, 3), (1,)), ((-3, -1), (1,)), ((2, -2), (1, 1))),
+    (((1, 1), (1,)), ((1, 3), (1,)), ((-2, -4), (2,))),
+    (((-4, 2), (1, 1)), ((1, -1), (1,)), ((3, -1), (1,))),
+    (((-1, 3), (1,)), ((-2, 2), (1, 1)), ((-3, 2), (1,)), ((1, -3), (1,)), ((5, -4), (1,))),
+    (((0, 4), (2, 2)), ((-1, 1), (1,)), ((1, -5), (1,))),
+    (((4, 2), (2,)), ((1, 3), (1,)), ((-5, -5), (2, 2, 1))),
+    (((-3, 5), (1,)), ((-1, -1), (1,)), ((4, -4), (2, 2))),
+    (((3, 1), (1,)), ((-2, 2), (2,)), ((-3, 2), (1,)), ((2, -5), (1,))),
+    (((2, 2), (2,)), ((-2, 1), (1,)), ((0, -3), (3,))),
+    (((1, 1), (1,)), ((2, 3), (1,)), ((-2, -1), (1,)), ((-1, -3), (1,))),
+    (((2, 0), (1, 1)), ((2, 4), (1, 1)), ((-4, -2), (1, 1)), ((0, -2), (2,))),
+    (((2, 2), (2,)), ((-2, 2), (1, 1)), ((0, -4), (4,))),
+    (((2, 0), (2,)), ((1, 4), (1,)), ((-3, -4), (1,))),
+    (((2, 1), (1,)), ((3, 3), (2, 1)), ((-4, -2), (1, 1)), ((-1, -2), (1,))),
+    (((2, 4), (2,)), ((-4, -3), (1,)), ((2, -1), (1,))),
+    (((1, 4), (1,)), ((-4, 0), (3, 1)), ((2, -3), (1,)), ((1, -1), (1,))),
+)
+
+# Zero, constants, and curves with known singularities: double lines, a
+# node, a cusp, a tacnode, and a smooth conic whose singular system has
+# solutions off the curve.
+SPECIAL = tuple(
+    BiPoly.zero() if text == "0" else P(text)
+    for text in (
+        "0", "1", "-3/2", "x", "u", "u^2", "u^2 - 2*u*x + x^2", "x^2",
+        "u^2 - x^2", "u^2 - x^3", "u^2 - x^4", "u^2 + x^2 - 1", "u^3 - x^2*u + x",
+        "u^2 - 6*u*x + x", "u*x", "x^2 + 1",
+    )
+)
+
+
+def random_bipoly(rng: random.Random) -> BiPoly:
+    """Up to four terms of x-degree <= 2 and u-degree <= 3 with small
+    rational coefficients; every fourth one squared or multiplied by a
+    second, which makes most of those singular."""
+    def draw():
+        return BiPoly.from_terms({
+            (rng.randint(0, 2), rng.randint(0, 3)): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 4))
+        })
+
+    f = draw()
+    if rng.random() < 0.25:
+        f = f * (f if rng.random() < 0.5 else draw())
+    return f
+
+
+def test_smoothness_and_resultants_match_the_expr_reference():
+    rng = random.Random(61)
+    polys = list(SPECIAL) + [random_bipoly(rng) for _ in range(100)]
+    verdicts = [is_smooth_curve(f) for f in polys]
+    assert verdicts == [oracles.is_smooth_curve(f) for f in polys]
+    assert 20 < sum(verdicts) < len(polys) - 20  # both verdicts well represented
+    pairs = [(f, g) for f in SPECIAL for g in SPECIAL[:6]]
+    pairs += [tuple(rng.sample(polys, 2)) for _ in range(150)]
+    for f, g in pairs:
+        assert str(wallfn._resultant_u(f, g).as_expr()) == str(oracles.resultant_u(f, g)), (f, g)
+
+
+def _controls(S, W, rng):
+    """Assignments to reject or to report on: a wrong restriction, two equal
+    factors, and factors u^part + x*(random rational terms) whose resultants
+    are rarely monomials."""
+    walls = [list(w) for w in W.factors]
+    walls[0][0] = walls[0][0] * U
+    yield WallAssignment(tuple(map(tuple, walls)))
+    for i, edge in enumerate(S.edges):
+        for k in range(1, len(edge.nu)):
+            if edge.nu[k] == edge.nu[k - 1]:
+                walls = [list(w) for w in W.factors]
+                walls[i][k] = walls[i][k - 1]
+                yield WallAssignment(tuple(map(tuple, walls)))
+                break
+    yield WallAssignment(tuple(
+        tuple(
+            BiPoly.u_power(part) + X * BiPoly.from_terms({
+                (rng.randint(0, 1), rng.randint(0, 1)): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                for _ in range(2)
+            })
+            for part in edge.nu
+        )
+        for edge in S.edges
+    ))
+
+
+def test_tower_assignments_match_the_expr_reference():
+    rng = random.Random(7)
+    seen = {"subordinate": 0, "generic": 0, "problems": 0}
+    for seed, raw in enumerate(TOWER_DATA, start=1):
+        S = validate(raw)
+        W = generic_wall_assignment(S, seed)
+        for V in (W, *_controls(S, W, rng)):
+            sub, gen = oracles.wall_problems(S, V)
+            assert is_subordinate(S, V).problems == sub
+            if gen is None:
+                with pytest.raises(SubordinationRequired):
+                    is_generic(S, V)
+            else:
+                assert is_generic(S, V).problems == gen
+                seen["subordinate"] += 1
+                seen["generic"] += not gen
+            seen["problems"] += len(sub) + len(gen or ())
+    assert seen["generic"] >= 30 and seen["subordinate"] > seen["generic"]
+    assert seen["problems"] > 60
+
+
+def test_each_distinct_factor_is_decided_once_per_call(monkeypatch):
+    decided = []
+
+    def counting_groebner(gens, ring):
+        decided.append(gens)
+        return real(gens, ring)
+
+    real = wallfn.groebner
+    monkeypatch.setattr(wallfn, "groebner", counting_groebner)
+    for seed, raw in enumerate(TOWER_DATA, start=1):
+        S = validate(raw)
+        counts = []
+        for _ in range(2):  # a second call repeats every decision: no state survives
+            decided.clear()
+            W = generic_wall_assignment(S, seed)
+            counts.append(len(decided))
+        distinct = len({f for wall in W.factors for f in wall})
+        assert counts == [distinct, distinct], raw
+        for check in (is_subordinate, is_generic, _wall_checks):
+            decided.clear()
+            check(S, W)
+            assert len(decided) == distinct, (check.__name__, raw)
