@@ -23,6 +23,7 @@ import sys
 
 from .decider import Verdict, canonicalize, enumerate_zero_mutable, is_zero_mutable
 from .errors import IllegalMutation, LogMutError, TooFewEdges
+from .lattice import sort_ccw
 from .logdatum import (
     LogDatum,
     component_types,
@@ -178,6 +179,8 @@ def cmd_enumerate(args) -> int:
         raw = json.loads(args.edges)
     vectors = [tuple(v) for v in raw]
     results = enumerate_zero_mutable(vectors, **limits)
+    # The assignments list partitions in counterclockwise edge order.
+    vectors = sort_ccw(vectors, lambda v: v)
     if args.json:
         print(
             json.dumps(

@@ -58,8 +58,12 @@ def _canonical_key(state: tuple) -> tuple:
     in key form; the state may start at any edge.
 
     Candidate i starts with (l_i, 0, nu_i), so only edges minimizing
-    (l_i, nu_i) can realize the minimum, and that edge is nearly always
-    unique.  Arithmetic stays inlined: this is the search's hottest function.
+    (l_i, nu_i) can realize the minimum.  Among those, the next triple
+    (l_{i+1} * x', l_{i+1} * r_i, nu_{i+1}) decides first, where
+    r_i = sform(u_i, u_{i+1}) and x' is the x-coordinate of the image of
+    u_{i+1}, sheared into [0, r_i) when r_i > 0.  Full candidates are built
+    only for the bases minimizing it, which is nearly always one.
+    Arithmetic stays inlined: this is the search's hottest function.
     """
     n = len(state)
     if n == 0:
@@ -72,7 +76,7 @@ def _canonical_key(state: tuple) -> tuple:
         bases = [i for i in range(0, n, 4) if state[i] == l0]
         nu0 = min([state[i + 1] for i in bases])
         bases = [i for i in bases if state[i + 1] == nu0]
-    best = None
+    least = None
     for i in bases:
         # Rows [[a, b], [-q, p]] with a*p + b*q == 1 send u_i to (1, 0).
         p, q = state[i + 2], state[i + 3]
@@ -81,13 +85,25 @@ def _canonical_key(state: tuple) -> tuple:
             b = (1 - a * p) // q
         else:
             a, b = p, 0
-        nx, ny = state[i + 6 - n], state[i + 7 - n]  # the next direction
-        q2 = p * ny - q * nx
-        if q2 > 0:  # shear its image (a*nx + b*ny, q2) into 0 <= x < q2
-            shift = (a * nx + b * ny) // q2
-            a, b = a + shift * q, b - shift * p
-        cand = []
-        it = iter(state[i:] + state[:i] if i else state)
+        j = i + 4 if i + 4 < n else 0  # the next edge
+        l, nu, nx, ny = state[j : j + 4]
+        r = p * ny - q * nx
+        x = a * nx + b * ny
+        if r > 0:  # shear the image (x, r) of the next direction
+            shift = x // r
+            a, b, x = a + shift * q, b - shift * p, x - shift * r
+        second = (l * x, l * r, nu)
+        if least is None or second < least:
+            least = second
+            maps = [(i, a, b, p, q)]
+        elif second == least:
+            maps.append((i, a, b, p, q))
+    # Every kept base shares the first two triples; the rest starts at i + 8.
+    head = (l0, 0, state[maps[0][0] + 1]) + least
+    best = None
+    for i, a, b, p, q in maps:
+        cand = list(head)
+        it = iter(state[i + 8 :] + state[:i] if i + 8 <= n else state[i + 8 - n : i])
         for l, nu, dx, dy in zip(it, it, it, it):
             cand += (l * (a * dx + b * dy), l * (p * dy - q * dx), nu)
         cand = tuple(cand)
@@ -96,17 +112,12 @@ def _canonical_key(state: tuple) -> tuple:
     return best
 
 
-def _canonical_state(serialized: tuple) -> tuple:
-    """The canonical key of a nested serialization, nested the same way."""
-    key = _canonical_key(_state(serialized))
+def canonical_tuple(S: LogDatum) -> tuple:
+    """Hashable canonical key: nested tuples ((e, nu), ...)."""
+    key = _canonical_key(_state(S))
     return tuple(
         ((key[t], key[t + 1]), key[t + 2]) for t in range(0, len(key), 3)
     )
-
-
-def canonical_tuple(S: LogDatum) -> tuple:
-    """Hashable canonical key: nested tuples ((e, nu), ...)."""
-    return _canonical_state(S.serialize())
 
 
 def canonicalize(S: LogDatum) -> str:
@@ -208,7 +219,7 @@ def is_zero_mutable(
     if len(S) == 2 and is_zero_mutable_rank_one(S):
         return Verdict.yes(Certificate((), S), explored=1)
 
-    root = _state(S.serialize())
+    root = _state(S)
     visited = {_canonical_key(root)}
     # Per frontier class, by index (0 is the root): parent index and move.
     # The current frontier holds the last len(frontier) indices.
@@ -269,7 +280,7 @@ def is_zero_mutable(
             terminal = S
             for cert_step in steps:
                 terminal = mutate_by_value(terminal, cert_step.edge, cert_step.part)
-            if _state(terminal.serialize()) != final_state:
+            if _state(terminal) != final_state:
                 raise RuntimeError(
                     "the search's states diverged from the validated data"
                 )
@@ -326,7 +337,7 @@ def enumerate_zero_mutable(
     edge_vectors = [lattice_vector(e) for e in edge_vectors]
     trial = validate([(e, (primitive_split(e)[0],)) for e in edge_vectors])
     vectors = [edge.e for edge in trial.edges]
-    lengths = [edge.length for edge in trial.edges]
+    lengths = trial.lengths
     results = []
     for assignment in itertools.product(*(partitions_of(l) for l in lengths)):
         S = validate(list(zip(vectors, assignment)))

@@ -7,7 +7,6 @@ no overflow path.  The orientation is fixed by ``sform((1,0),(0,1)) == 1``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
@@ -93,27 +92,16 @@ def to_east(u: Vec) -> UnimodularMap:
     choice compose with the shear normalizing a second direction.
     """
     p, q = u
-    if gcd(abs(p), abs(q)) != 1:
+    if gcd(p, q) != 1:
         raise ValueError(f"{u} is not primitive")
-    # Extended gcd: a*p + b*q == 1, so [[a, b], [-q, p]] has determinant 1
-    # and sends (p, q) to (1, 0).
-    a, b = _bezout(p, q)
+    # a*p + b*q == 1, so [[a, b], [-q, p]] has determinant 1 and sends
+    # (p, q) to (1, 0); for q == 0, p == a == +-1.
+    if q:
+        a = pow(p, -1, q)
+        b = (1 - a * p) // q
+    else:
+        a, b = p, 0
     return UnimodularMap(a, b, -q, p)
-
-
-def _bezout(p: int, q: int) -> tuple[int, int]:
-    """Integers (a, b) with a*p + b*q == gcd-normalized 1 for coprime p, q."""
-    old_r, r = p, q
-    old_a, a = 1, 0
-    old_b, b = 0, 1
-    while r != 0:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_a, a = a, old_a - quo * a
-        old_b, b = b, old_b - quo * b
-    if old_r == -1:  # gcd computed with sign; flip to +1
-        old_a, old_b = -old_a, -old_b
-    return old_a, old_b
 
 
 def _quadrant(u: Vec) -> int:
@@ -148,28 +136,26 @@ def ccw_precedes(u: Vec, v: Vec) -> bool:
     return sform(u, v) > 0
 
 
-_VERTICAL = float("-inf")  # quadrants 1 and 3 start at a vertical direction
-
-
-def ccw_key(v: Vec) -> tuple:
-    """Sort key realizing the same order as ccw_precedes, exactly.
-
-    Within one quadrant the angle increases strictly with the slope y/x
-    (compared as an exact Fraction); the vertical directions opening
-    quadrants 1 and 3 come first there.  Positive multiples of a vector get
-    equal keys.
-    """
-    x, y = v
-    q = _quadrant(v)
-    if x == 0:
-        return (q, _VERTICAL)
-    return (q, Fraction(y, x))
-
-
 def sort_ccw(items: Iterable, direction_of) -> list:
     """Sort items by the counterclockwise angle of direction_of(item) from (1,0).
 
     Directions must be pairwise non-parallel or equal; equal directions sort
-    stably together (the caller detects duplicates separately).
+    stably together (the caller detects duplicates separately).  The order
+    is ccw_precedes, in integers only: an insertion sort on the quadrant,
+    then the sign of the cross product, which is linear on input that is
+    nearly sorted already, as the data that mutation produces are.
     """
-    return sorted(items, key=lambda item: ccw_key(direction_of(item)))
+    out: list = []
+    keys: list[tuple[int, int, int]] = []
+    for item in items:
+        x, y = direction_of(item)
+        q = _quadrant((x, y))
+        k = len(keys)
+        while k:  # step back past every entry that (x, y) strictly precedes
+            kq, kx, ky = keys[k - 1]
+            if kq < q or (kq == q and kx * y - ky * x >= 0):
+                break
+            k -= 1
+        keys.insert(k, (q, x, y))
+        out.insert(k, item)
+    return out

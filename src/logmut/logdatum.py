@@ -66,6 +66,7 @@ class LogDatum:
 
     # cached_property stores into the instance __dict__, which a frozen
     # dataclass permits; equality and hashing still use only `edges`.
+    # validate() fills both from the one split per edge it already made.
     @cached_property
     def directions(self) -> tuple[Vec, ...]:
         return tuple(edge.direction for edge in self.edges)
@@ -119,32 +120,36 @@ def validate(raw_edges: Sequence[tuple[Vec, Iterable[int]]]) -> LogDatum:
     DuplicateDirection, or ClosureViolation (all subclasses of InvalidDatum)
     on the first violated invariant, in that order.
     """
-    edges = []
+    edges, lengths, directions = [], [], []
+    sx = sy = 0
     for e_raw, nu_raw in raw_edges:
         e = lattice_vector(e_raw)
         nu = normalize_partition(nu_raw)
-        length, _ = primitive_split(e)  # raises ZeroVector on (0,0)
+        length, u = primitive_split(e)  # raises ZeroVector on (0,0)
         if sum(nu) != length:
             raise PartitionSumMismatch(
                 f"partition {nu} sums to {sum(nu)}, edge {e} has length {length}"
             )
         edges.append(Edge(e, nu))
+        lengths.append(length)
+        directions.append(u)
+        sx += e[0]
+        sy += e[1]
 
-    seen: dict[Vec, Vec] = {}
-    for edge in edges:
-        u = edge.direction
+    seen: set[Vec] = set()
+    for u in directions:
         if u in seen:
             raise DuplicateDirection(f"direction {u} appears more than once")
-        seen[u] = edge.e
+        seen.add(u)
 
-    total = (sum(edge.e[0] for edge in edges), sum(edge.e[1] for edge in edges))
-    if total != (0, 0):
-        raise ClosureViolation(f"edges sum to {total}, not (0, 0)")
+    if sx or sy:
+        raise ClosureViolation(f"edges sum to {(sx, sy)}, not (0, 0)")
 
-    # The comparator only needs quadrants and cross-product signs, which are
-    # the same for e and its primitive direction, so sort on raw vectors.
-    ordered = sort_ccw(edges, lambda edge: edge.e)
-    return LogDatum(tuple(ordered))
+    order = sort_ccw(range(len(edges)), directions.__getitem__)
+    S = LogDatum(tuple([edges[i] for i in order]))
+    S.__dict__["lengths"] = tuple([lengths[i] for i in order])
+    S.__dict__["directions"] = tuple([directions[i] for i in order])
+    return S
 
 
 def rank(S: LogDatum) -> Rank:

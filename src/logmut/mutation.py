@@ -20,7 +20,6 @@ is re-validated and re-sorted counterclockwise.
 """
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple, Optional
 
 from .errors import IllegalMutation, NotRankTwo
@@ -62,15 +61,15 @@ def legal_mutations(S: LogDatum) -> list[MutationIndex]:
 # lattice length, partition and primitive direction of each edge, in the
 # counterclockwise order of the datum (east-first cut).  Mutation moves
 # directions by unimodular shears, which keep lengths, so the kernel never
-# takes a gcd.
+# takes a gcd, and validate() stores the lengths and directions a state is
+# built from.
 
 
-def _state(serialized: tuple) -> tuple:
-    """The state of a nested ((e, nu), ...) serialization."""
+def _state(S: LogDatum) -> tuple:
+    """The state of a validated datum."""
     out = []
-    for (x, y), nu in serialized:
-        l = gcd(x, y)
-        out += (l, nu, x // l, y // l)
+    for l, edge, (dx, dy) in zip(S.lengths, S.edges, S.directions):
+        out += (l, edge.nu, dx, dy)
     return tuple(out)
 
 
@@ -241,7 +240,7 @@ def _mutate_part(S: LogDatum, j: int, part: int, trace: Optional[list]) -> LogDa
     """The mutation at edge j removing one part of value `part` (one of
     edge j's parts), through the state kernel and re-validated."""
     children: list = []
-    h = _edge_moves(_state(S.serialize()), 4 * (j - 1), (part,), children, trace)
+    h = _edge_moves(_state(S), 4 * (j - 1), (part,), children, trace)
     if h < part:
         raise IllegalMutation(
             f"mutation at edge {j}, part {part} is illegal: height h = {h} < {part}"

@@ -230,8 +230,9 @@ def bipoly_to_obj(f: BiPoly) -> list:
 
 def bipoly_from_obj(obj) -> BiPoly:
     """Inverse of bipoly_to_obj; polynomial text is accepted too.  Degrees
-    must be ints and coefficients ints or "p/q" strings: a bool or float
-    raises InvalidDatum, anything not a list of triples ShapeMismatch."""
+    must be non-negative ints and coefficients ints or "p/q" strings: a
+    bool, float or negative degree raises InvalidDatum, anything not a list
+    of triples ShapeMismatch."""
     if isinstance(obj, str):
         return parse_bipoly(obj)
     if type(obj) not in (list, tuple):
@@ -249,6 +250,8 @@ def bipoly_from_obj(obj) -> BiPoly:
             raise InvalidDatum(
                 f"polynomial term {term!r} has an inexact degree or coefficient"
             )
+        if a < 0 or b < 0:
+            raise InvalidDatum(f"polynomial term {term!r} has a negative degree")
         c = _rational(c) if type(c) is str else Fraction(c)
         terms[(a, b)] = terms.get((a, b), Fraction(0)) + c
     return BiPoly.from_terms(terms)
@@ -289,8 +292,8 @@ def _check_shape(S: LogDatum, W: WallAssignment) -> None:
 def joint_compatible(S: LogDatum, W: WallAssignment) -> bool:
     """Each wall's full function restricts to u^{l_i} on the joint (x = 0)."""
     _check_shape(S, W)
-    for edge, wall in zip(S.edges, W.factors):
-        if not product(wall).restrict_to_u().is_u_power(edge.length):
+    for length, wall in zip(S.lengths, W.factors):
+        if not product(wall).restrict_to_u().is_u_power(length):
             return False
     return True
 

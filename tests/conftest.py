@@ -88,9 +88,10 @@ BOX_LENGTH_BOUND = 6
 SWEEP_DEPTH = 2
 
 
-def _box_edge_sets() -> list[tuple[tuple[int, int], ...]]:
+def _box_edge_sets(
+    bound: int = BOX_COORD_BOUND, length_bound: int = BOX_LENGTH_BOUND
+) -> list[tuple[tuple[int, int], ...]]:
     """Closed edge sets with pairwise distinct directions inside the box."""
-    bound = BOX_COORD_BOUND
     vecs = sorted(
         (x, y)
         for x in range(-bound, bound + 1)
@@ -121,7 +122,7 @@ def _box_edge_sets() -> list[tuple[tuple[int, int], ...]]:
             dirs.discard(prim[v])
             chosen.pop()
 
-    extend(0, [], set(), 0, 0, BOX_LENGTH_BOUND)
+    extend(0, [], set(), 0, 0, length_bound)
     return found
 
 

@@ -1,6 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately take different routes than the package code: the
+counterclockwise order as a sort by an exact Fraction slope key instead of
+the package's integer insertion sort, validation in separate passes, the
 mutation rules on LogDatum objects instead of the package's flat-state
 kernel, canonical keys from explicit SL(2,Z) maps, iterative deepening
 instead of breadth-first search, subset enumeration by sizes instead of
@@ -18,6 +20,7 @@ import sympy
 
 from logmut import (
     BiPoly,
+    Edge,
     LogDatum,
     UnimodularMap,
     WallAssignment,
@@ -27,9 +30,68 @@ from logmut import (
     sform,
     to_east,
     u_height,
+    Vec,
+    primitive_split,
     validate,
 )
-from logmut.errors import IllegalMutation, NotRankTwo
+from logmut.errors import (
+    ClosureViolation,
+    DuplicateDirection,
+    IllegalMutation,
+    NotRankTwo,
+    PartitionSumMismatch,
+    ZeroVector,
+)
+from logmut.logdatum import lattice_vector, normalize_partition
+
+
+def ccw_key(v: Vec) -> tuple:
+    """Reference sort key for the counterclockwise order of ccw_precedes.
+
+    The quarter turn [k*pi/2, (k+1)*pi/2) holding v comes first; within it
+    the angle increases strictly with the slope y/x, compared as an exact
+    Fraction, and the vertical directions opening quarter turns 1 and 3
+    come first.  Positive multiples of a vector get equal keys.
+    """
+    x, y = v
+    if x == 0 and y == 0:
+        raise ZeroVector("the zero vector has no angle")
+    if x > 0 and y >= 0:
+        q = 0
+    elif y > 0:
+        q = 1
+    elif x < 0:
+        q = 2
+    else:
+        q = 3
+    if x == 0:
+        return (q, float("-inf"))
+    return (q, Fraction(y, x))
+
+
+def validate_reference(raw_edges) -> LogDatum:
+    """validate() as a sequence of separate passes: the edge checks, then
+    duplicate directions, then closure, then a sort by ccw_key."""
+    edges = []
+    for e_raw, nu_raw in raw_edges:
+        e = lattice_vector(e_raw)
+        nu = normalize_partition(nu_raw)
+        length, _ = primitive_split(e)
+        if sum(nu) != length:
+            raise PartitionSumMismatch(
+                f"partition {nu} sums to {sum(nu)}, edge {e} has length {length}"
+            )
+        edges.append(Edge(e, nu))
+    seen = set()
+    for edge in edges:
+        u = primitive_split(edge.e)[1]
+        if u in seen:
+            raise DuplicateDirection(f"direction {u} appears more than once")
+        seen.add(u)
+    total = (sum(edge.e[0] for edge in edges), sum(edge.e[1] for edge in edges))
+    if total != (0, 0):
+        raise ClosureViolation(f"edges sum to {total}, not (0, 0)")
+    return LogDatum(tuple(sorted(edges, key=lambda edge: ccw_key(edge.e))))
 
 
 def mutate(S: LogDatum, j: int, k: int) -> LogDatum:

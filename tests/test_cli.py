@@ -2,6 +2,7 @@ import io
 import json
 import shutil
 import subprocess
+from math import gcd
 
 import pytest
 
@@ -201,6 +202,23 @@ def test_enumerate_json(capsys):
     assert tom["verdict"] == "Yes" and tom["steps"] == 3
 
 
+def test_enumerate_echoes_edges_in_partition_order(capsys):
+    """The partitions are listed in counterclockwise edge order, so the
+    echoed edges are too, whatever the input order."""
+    argv = ("enumerate", "--edges", "[[0,2],[3,0],[-3,-2]]", "--max-depth", "2")
+    code, out, _ = run(capsys, *argv, "--json")
+    doc = json.loads(out)
+    assert code == 0 and doc["edges"] == [[3, 0], [0, 2], [-3, -2]]
+    assert doc["results"][0]["partitions"] == [[3], [2], [1]]
+    for result in doc["results"]:
+        for (x, y), part in zip(doc["edges"], result["partitions"]):
+            assert sum(part) == gcd(x, y)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.splitlines()[0] == (
+        "6 partition assignments over edges [(3, 0), (0, 2), (-3, -2)]: 0 zero-mutable"
+    )
+
+
 def test_enumerate_from_file(capsys, tmp_path):
     path = tmp_path / "edges.json"
     path.write_text("[[1,0],[-1,0]]")
@@ -296,6 +314,13 @@ def test_report_shape_mismatch_exits_2(capsys, tmp_path):
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "report", "Tom", "--walls", str(path))
         assert (code, out) == (2, "") and err.startswith("error: "), doc
+
+
+def test_report_negative_wall_degree_exits_2(capsys, tmp_path):
+    path = tmp_path / "walls.json"
+    path.write_text(json.dumps({"walls": [[[[0, -2, "1"]], "u"], ["u", "u"], ["u"]]}))
+    code, out, err = run(capsys, "report", "Tom", "--walls", str(path))
+    assert (code, out) == (2, "") and "negative degree" in err
 
 
 # Byte-for-byte report output; wall checks run on polynomial rings, and

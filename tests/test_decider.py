@@ -1,4 +1,6 @@
 import json
+import random
+from math import gcd
 
 import pytest
 
@@ -23,12 +25,42 @@ from logmut import (
     verify_certificate,
 )
 from logmut.errors import ClosureViolation, IllegalMutation, InvalidDatum
+from conftest import _box_edge_sets, random_unimodular
 from oracles import _candidates
 
 
 def test_canonical_tuple_matches_reference_candidates():
     for S in (tom_datum(), jerry_datum(), an_datum(0), an_datum(4)):
         assert canonical_tuple(S) == min(_candidates(S))
+
+
+def test_canonical_tuple_matches_reference_candidates_on_ties():
+    """The key prunes its bases on the triple after (l, 0, nu); it must
+    still be the least candidate where many edges tie on (l, nu): every
+    class of the coordinate-3 box with all parts 1, and symmetric data,
+    where several bases tie on the next triple too; each under a random
+    lattice map."""
+    rng = random.Random(711)
+    data = {}
+    for edge_set in _box_edge_sets(bound=3):
+        S = validate([(e, (1,) * gcd(*e)) for e in edge_set])
+        data.setdefault(canonical_tuple(S), S)
+    hexagon = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    square = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    triangle = [(1, 0), (0, 1), (-1, -1)]
+    symmetric = [
+        validate([((c * x, c * y), nu) for x, y in edges])
+        for edges in (hexagon, square, triangle, [(1, 0), (-1, 0)])
+        for c, nu in ((1, (1,)), (2, (1, 1)), (2, (2,)), (3, (2, 1)))
+    ]
+    assert len(data) > 2000
+    for S in list(data.values()) + symmetric:
+        T = apply_to_datum(random_unimodular(rng), S)
+        candidates = list(_candidates(T))
+        least = min(candidates)
+        assert canonical_tuple(T) == least == canonical_tuple(S), S
+        if S in symmetric:  # several bases realize the key
+            assert candidates.count(least) > 1, S
 
 
 def test_canonicalize_identifies_isomorphic_data():

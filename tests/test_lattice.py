@@ -5,7 +5,6 @@ import pytest
 from logmut.errors import ZeroVector
 from logmut.lattice import (
     UnimodularMap,
-    ccw_key,
     ccw_precedes,
     pos_part,
     primitive_split,
@@ -16,6 +15,8 @@ from logmut.lattice import (
     vadd,
     vscale,
 )
+
+from oracles import ccw_key
 
 
 def test_sform_orientation_and_bilinearity():
@@ -76,6 +77,19 @@ def test_ccw_order_full_circle():
             assert ccw_precedes(ring[i], ring[j]) == (i < j)
     shuffled = ring[5:] + ring[:5]
     assert sort_ccw(shuffled, lambda v: v) == ring
+
+
+def test_sort_ccw_matches_the_reference_key():
+    """The integer insertion sort equals a stable sort by the Fraction key,
+    positive multiples of one direction kept in input order."""
+    rng = random.Random(713)
+    for _ in range(300):
+        vectors = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(0, 12))]
+        items = list(enumerate(v for v in vectors if v != (0, 0)))
+        reference = sorted(items, key=lambda item: ccw_key(item[1]))
+        assert sort_ccw(items, lambda item: item[1]) == reference
+    with pytest.raises(ZeroVector):
+        sort_ccw([(1, 0), (0, 0)], lambda v: v)
 
 
 def test_ccw_key_matches_ccw_precedes():

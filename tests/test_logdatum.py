@@ -1,4 +1,6 @@
 import json
+import random
+from math import gcd
 
 import pytest
 
@@ -34,6 +36,10 @@ from logmut.errors import (
     TooFewEdges,
     ZeroVector,
 )
+from logmut.lattice import ccw_precedes, primitive_split
+
+import oracles
+from conftest import random_datum
 
 
 def test_validate_sorts_counterclockwise_and_normalizes_partitions():
@@ -63,6 +69,65 @@ def test_validate_rejections():
         validate([((1, 0), (1,)), ((0, 1), (1,))])
     with pytest.raises(InvalidDatum):
         validate([((2, 0), (3, -1)), ((-2, 0), (2,))])
+
+
+def _outcome(fn, raw):
+    try:
+        return fn(raw).serialize()
+    except InvalidDatum as exc:
+        return type(exc), str(exc)
+
+
+def _corrupt(rng: random.Random, raw: list) -> list:
+    """raw with one or two faults of the kinds validate reports."""
+    bad = [list(pair) for pair in raw]
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randrange(len(bad))
+        (x, y), nu = bad[i]
+        kind = rng.randrange(6)
+        if kind == 0:
+            bad[i] = [(0, 0), ()]
+        elif kind == 1:
+            bad[i][1] = tuple(nu) + (1,)
+        elif kind == 2:  # a positive multiple of an edge: a repeated direction
+            bad.insert(rng.randrange(len(bad) + 1), [(2 * x, 2 * y), (2 * sum(nu),)])
+        elif kind == 3:  # off by one: open, or a new length
+            bad[i] = [(int(x) + 1, y), (gcd(int(x) + 1, y),)]
+        elif kind == 4:
+            bad[i][0] = (float(x), y)
+        else:
+            bad[i][1] = tuple(nu) + (rng.choice((-1, True)),)
+    return bad
+
+
+def test_validate_matches_the_reference_on_shuffled_and_corrupted_input():
+    """validate splits each edge once and orders with integers only: on
+    shuffled input its order must be ccw_precedes pairwise and the
+    reference's Fraction sort, with the stored lengths and directions
+    those of its edges; a corrupted input must raise the reference's
+    exception with the same message."""
+    rng = random.Random(712)
+    raised = set()
+    for _ in range(600):
+        S = random_datum(rng, max_edges=6, coord_bound=rng.choice((2, 20)))
+        raw = list(S.serialize())
+        rng.shuffle(raw)
+        T = validate(raw)
+        assert T == S and T.serialize() == _outcome(oracles.validate_reference, raw)
+        dirs = T.directions
+        for i in range(len(dirs)):
+            for j in range(len(dirs)):
+                assert ccw_precedes(dirs[i], dirs[j]) == (i < j)
+        assert tuple(primitive_split(edge.e) for edge in T.edges) == tuple(
+            zip(T.lengths, dirs)
+        )
+        bad = _corrupt(rng, raw)
+        outcome = _outcome(validate, bad)
+        assert outcome == _outcome(oracles.validate_reference, bad), bad
+        raised.add(outcome[0])
+    assert raised >= {
+        InvalidDatum, ZeroVector, PartitionSumMismatch, DuplicateDirection, ClosureViolation
+    }
 
 
 def test_empty_datum_is_valid_but_rankless():

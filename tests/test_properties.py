@@ -19,7 +19,7 @@ from logmut import (
     validate,
     verify_certificate,
 )
-from logmut.decider import _canonical_state
+from logmut.decider import _canonical_key
 from logmut.mutation import _expand_state, _state
 
 from conftest import random_datum, random_unimodular
@@ -137,9 +137,9 @@ def test_search_children_are_the_validated_mutations():
     for bound in (2, 20):
         for _ in range(CASES):
             S = random_datum(rng, max_edges=6, coord_bound=bound)
-            for edge, part, child, _ in _expand_state(_state(S.serialize())):
+            for edge, part, child, _ in _expand_state(_state(S)):
                 k = S.edges[edge - 1].nu.index(part) + 1
-                assert child == _state(oracles.mutate(S, edge, k).serialize())
+                assert child == _state(oracles.mutate(S, edge, k))
 
 
 def test_canonical_form_is_idempotent_and_invariant():
@@ -152,10 +152,11 @@ def test_canonical_form_is_idempotent_and_invariant():
         assert canonical_tuple(rep) == key and canonical_rep(rep) == rep
         for A in maps:
             assert canonical_tuple(apply_to_datum(A, S)) == key
-        state = S.serialize()
-        for r in range(len(state)):
+        state = _state(S)
+        flat_key = tuple(x for (e, nu) in key for x in (*e, nu))
+        for r in range(0, len(state), 4):
             rotated = state[r:] + state[:r]
-            assert _canonical_state(rotated) == key
+            assert _canonical_key(rotated) == flat_key
 
 
 def test_certificates_replay_to_their_terminals():

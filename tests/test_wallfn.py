@@ -136,6 +136,12 @@ def test_json_rejects_inexact_terms():
             bipoly_from_obj(obj)
 
 
+def test_json_rejects_negative_degrees():
+    for obj in ([[0, -2, "1"]], [[-1, 0, 3]], [[0, 1, 1], [-1, -1, "0"]]):
+        with pytest.raises(InvalidDatum, match="negative degree"):
+            bipoly_from_obj(obj)
+
+
 def test_json_rejects_ill_shaped_assignments():
     for obj in ({"walls": 5}, {}, 5, {"walls": ["u"]}, {"walls": [[5]]}, {"walls": [[[[0, 1]]]]}):
         with pytest.raises(ShapeMismatch):
