@@ -9,7 +9,7 @@ existing file path is read as JSON; otherwise it must be a named datum
 Exit codes:
   0  success (decide: verdict Yes)
   1  I/O or parse error (bad JSON, unknown name, bad polynomial text)
-  2  invalid datum, ill-shaped wall-assignment input, or a negative search limit
+  2  invalid datum or edge list, ill-shaped wall assignment, negative search limit
   3  illegal mutation
   4  decide: verdict No
   5  decide: verdict Unknown
@@ -22,7 +22,7 @@ import os
 import sys
 
 from .decider import Verdict, canonicalize, enumerate_zero_mutable, is_zero_mutable
-from .errors import IllegalMutation, LogMutError, TooFewEdges
+from .errors import IllegalMutation, InvalidDatum, LogMutError, TooFewEdges
 from .lattice import sort_ccw
 from .logdatum import (
     LogDatum,
@@ -177,10 +177,11 @@ def cmd_enumerate(args) -> int:
             raw = json.load(fh)
     else:
         raw = json.loads(args.edges)
-    vectors = [tuple(v) for v in raw]
-    results = enumerate_zero_mutable(vectors, **limits)
+    if type(raw) is not list:
+        raise InvalidDatum(f"edge list {raw!r} is not a JSON array")
+    results = enumerate_zero_mutable(raw, **limits)  # checks each edge vector
     # The assignments list partitions in counterclockwise edge order.
-    vectors = sort_ccw(vectors, lambda v: v)
+    vectors = sort_ccw(map(tuple, raw), lambda v: v)
     if args.json:
         print(
             json.dumps(

@@ -151,9 +151,15 @@ class Certificate:
 
     @staticmethod
     def from_obj(obj: dict) -> "Certificate":
+        """Inverse of to_obj; InvalidDatum for a document of another shape."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("steps"), list):
+            raise InvalidDatum('a certificate needs a "steps" array')
+        if "terminal" not in obj:
+            raise InvalidDatum('a certificate needs a "terminal" datum')
         steps = []
         for s in obj["steps"]:
-            edge, part = s["edge"], s["part"]
+            step = s if isinstance(s, dict) else {}
+            edge, part = step.get("edge"), step.get("part")
             if type(edge) is not int or type(part) is not int:
                 raise InvalidDatum(f"certificate step {s!r} is not a pair of integers")
             steps.append(CertStep(edge, part))
@@ -274,12 +280,10 @@ def is_zero_mutable(
                 steps.append(CertStep(edge_of[node], part_of[node]))
                 node = parent_of[node]
             steps.reverse()
-            # Rebuild the terminal through mutate, which re-validates every
-            # intermediate of the found path: this checks the kernel's
+            # Rebuild the terminal by replaying the path through mutate, which
+            # re-validates every intermediate: this checks the kernel's
             # east-first cut against validate's counterclockwise sort.
-            terminal = S
-            for cert_step in steps:
-                terminal = mutate_by_value(terminal, cert_step.edge, cert_step.part)
+            terminal = replay(S, Certificate(tuple(steps), S))
             if _state(terminal) != final_state:
                 raise RuntimeError(
                     "the search's states diverged from the validated data"

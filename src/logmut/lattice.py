@@ -20,11 +20,6 @@ def sform(a: Vec, b: Vec) -> int:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def pos_part(n: int) -> int:
-    """a_+ : n for n >= 0, else 0."""
-    return n if n >= 0 else 0
-
-
 def vadd(a: Vec, b: Vec) -> Vec:
     return (a[0] + b[0], a[1] + b[1])
 
@@ -124,25 +119,13 @@ def _quadrant(u: Vec) -> int:
     raise ZeroVector("the zero vector has no angle")
 
 
-def ccw_precedes(u: Vec, v: Vec) -> bool:
-    """True if the angle of u in [0, 2pi) is strictly smaller than that of v.
-
-    Exact: quadrant comparison, then the cross product inside one quadrant
-    (which spans less than a half turn, so the sign is decisive).
-    """
-    qu, qv = _quadrant(u), _quadrant(v)
-    if qu != qv:
-        return qu < qv
-    return sform(u, v) > 0
-
-
 def sort_ccw(items: Iterable, direction_of) -> list:
     """Sort items by the counterclockwise angle of direction_of(item) from (1,0).
 
     Directions must be pairwise non-parallel or equal; equal directions sort
-    stably together (the caller detects duplicates separately).  The order
-    is ccw_precedes, in integers only: an insertion sort on the quadrant,
-    then the sign of the cross product, which is linear on input that is
+    stably together (the caller detects duplicates separately).  Exact, in
+    integers only: an insertion sort on the quadrant, then the sign of the
+    cross product (decisive within a quadrant), linear on input that is
     nearly sorted already, as the data that mutation produces are.
     """
     out: list = []

@@ -28,7 +28,6 @@ from .errors import (
 from .lattice import (
     Vec,
     UnimodularMap,
-    pos_part,
     primitive_split,
     sform,
     sort_ccw,
@@ -190,11 +189,6 @@ def is_irreducible(S: LogDatum) -> bool:
         if sx == 0 and sy == 0:
             return False
     return True
-
-
-def u_height(S: LogDatum, u: Vec) -> int:
-    """h_u(S) = sum of {u, e_i}_+ over all edges."""
-    return sum(pos_part(sform(u, edge.e)) for edge in S.edges)
 
 
 def polygon(S: LogDatum) -> list[Vec]:
@@ -370,10 +364,14 @@ def datum_from_obj(obj: dict) -> LogDatum:
     """
     if not isinstance(obj, dict):
         raise InvalidDatum("datum document must be a JSON object")
+    if not isinstance(obj.get("name", ""), str):
+        raise InvalidDatum(f'datum name {obj["name"]!r} is not a string')
     if "edges" not in obj:
         if "name" in obj:
             return named(obj["name"])
         raise InvalidDatum('datum document needs an "edges" array')
+    if not isinstance(obj["edges"], list):
+        raise InvalidDatum(f'edges {obj["edges"]!r} is not an array')
     raw = []
     for item in obj["edges"]:
         if not isinstance(item, dict) or "e" not in item or "nu" not in item:

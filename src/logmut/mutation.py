@@ -3,8 +3,8 @@
 A mutation is addressed by (j, k): the 1-based counterclockwise position j of
 an edge and the 1-based index k of a part of its partition (partitions are
 stored weakly decreasing).  Writing u_j for the primitive direction of edge j,
-l = nu_j[k] for the chosen part, and h = u_height(S, u_j), the mutation is
-legal when h >= l and then:
+l = nu_j[k] for the chosen part, and h for the sum of {u_j, e_i}_+ over all
+edges, the mutation is legal when h >= l and then:
 
 (1)  every edge not on the line R*u_j is sheared: e -> e + {u_j, e}_+ * u_j;
 (2a) if nu_j has other parts, edge j shrinks to (l_j - l) * u_j and loses one
@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .errors import IllegalMutation, NotRankTwo
-from .logdatum import LogDatum, u_height, validate
+from .logdatum import LogDatum, validate
 
 
 class MutationIndex(NamedTuple):
@@ -40,13 +40,13 @@ def legal_mutations(S: LogDatum) -> list[MutationIndex]:
     """All legal (j, k), one k per distinct part value of each edge.
 
     Mutating equal parts gives equal results, so only the first index of each
-    value is listed.
+    value is listed.  Heights come from the kernel, given no parts to mutate.
     """
     _check_rank_two(S)
+    state = _state(S)
     moves = []
-    dirs = S.directions
     for j, edge in enumerate(S.edges, start=1):
-        h = u_height(S, dirs[j - 1])
+        h = _edge_moves(state, 4 * (j - 1), (), [])
         seen = set()
         for k, part in enumerate(edge.nu, start=1):
             if part in seen:
@@ -279,4 +279,5 @@ def mutate_by_value(S: LogDatum, j: int, value: int) -> LogDatum:
     Certificates address parts by value, which survives partition re-sorting.
     """
     _check_rank_two(S)
-    return mutate(S, j, part_index(S, j, value))
+    part_index(S, j, value)  # raises unless edge j has a part of this value
+    return _mutate_part(S, j, value, None)

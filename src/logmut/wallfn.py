@@ -18,11 +18,12 @@ part of nu_i; the checks here are exact:
 """
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import sympy
 from sympy.polys.groebnertools import groebner
@@ -35,12 +36,11 @@ from .errors import (
 )
 from .logdatum import LogDatum
 
-# The checks run on sympy's sparse polynomial rings over QQ: Q[x, u] in
-# grevlex order for the Groebner bases, and Q[u, x] for the resultants, whose
-# resultant() eliminates the first generator u and lands in Q[x].
+# The checks run on one sparse polynomial ring of sympy's, Q[u, x] in grevlex
+# order: whether a reduced Groebner basis is [1] does not depend on the
+# monomial order, and resultant() eliminates the first generator u.
 _QQ = sympy.QQ
-_XU = sympy.ring("x,u", _QQ, sympy.grevlex)[0]
-_UX = sympy.ring("u,x", _QQ, sympy.lex)[0]
+_UX = sympy.ring("u,x", _QQ, sympy.grevlex)[0]
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,6 @@ class BiPoly:
             out[key] = out.get(key, Fraction(0)) + c
         return BiPoly.from_terms(out)
 
-    def __neg__(self) -> "BiPoly":
-        return BiPoly(tuple((k, -c) for k, c in self.terms))
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
     def __mul__(self, other: "BiPoly") -> "BiPoly":
         out: dict[tuple[int, int], Fraction] = {}
         for (ax, au), ac in self.terms:
@@ -107,29 +101,6 @@ class BiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def deg_u(self) -> int:
-        return max((du for (_, du), _ in self.terms), default=-1)
-
-    def deg_x(self) -> int:
-        return max((dx for (dx, _), _ in self.terms), default=-1)
-
-    def diff_x(self) -> "BiPoly":
-        return BiPoly.from_terms(
-            {(dx - 1, du): c * dx for (dx, du), c in self.terms if dx > 0}
-        )
-
-    def diff_u(self) -> "BiPoly":
-        return BiPoly.from_terms(
-            {(dx, du - 1): c * du for (dx, du), c in self.terms if du > 0}
-        )
-
-    def evaluate(self, x_val: Fraction | int, u_val: Fraction | int) -> Fraction:
-        x_val, u_val = Fraction(x_val), Fraction(u_val)
-        total = Fraction(0)
-        for (dx, du), c in self.terms:
-            total += c * x_val**dx * u_val**du
-        return total
-
     def restrict_to_u(self) -> "BiPoly":
         """Substitute x = 0: keep only the x-degree-0 terms."""
         return BiPoly(tuple((k, c) for k, c in self.terms if k[0] == 0))
@@ -139,17 +110,6 @@ class BiPoly:
 
     def __str__(self) -> str:
         return format_bipoly(self)
-
-
-def restrict_to_u(f: BiPoly) -> BiPoly:
-    return f.restrict_to_u()
-
-
-def product(factors: Iterable[BiPoly]) -> BiPoly:
-    out = BiPoly.one()
-    for f in factors:
-        out = out * f
-    return out
 
 
 # --- text and JSON formats ---------------------------------------------------
@@ -292,10 +252,10 @@ def _check_shape(S: LogDatum, W: WallAssignment) -> None:
 def joint_compatible(S: LogDatum, W: WallAssignment) -> bool:
     """Each wall's full function restricts to u^{l_i} on the joint (x = 0)."""
     _check_shape(S, W)
-    for length, wall in zip(S.lengths, W.factors):
-        if not product(wall).restrict_to_u().is_u_power(length):
-            return False
-    return True
+    return all(
+        math.prod(wall, start=BiPoly.one()).restrict_to_u().is_u_power(length)
+        for length, wall in zip(S.lengths, W.factors)
+    )
 
 
 @dataclass(frozen=True)
@@ -316,11 +276,12 @@ def is_smooth_curve(f: BiPoly) -> bool:
     Q[x, u], i.e. the reduced Groebner basis being [1]; Groebner bases over Q
     do not change under field extension, so this is exact.
     """
-    p = _XU.from_dict({k: _QQ(c.numerator, c.denominator) for k, c in f.terms})
+    p = _in_ux(f)
     # groebner() divides by its generators, so zeros are left out (f = 0
-    # leaves none, and the empty basis is not [1]).
-    gens = [g for g in (p, p.diff(0), p.diff(1)) if g]
-    return groebner(gens, _XU) == [_XU.one]
+    # leaves none, and the empty basis is not [1]).  df/dx, often a constant
+    # on wall factors, goes before df/du: small bases come out sooner.
+    gens = [g for g in (p, p.diff(1), p.diff(0)) if g]
+    return groebner(gens, _UX) == [_UX.one]
 
 
 def _in_ux(f: BiPoly):

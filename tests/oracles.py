@@ -3,11 +3,12 @@
 These deliberately take different routes than the package code: the
 counterclockwise order as a sort by an exact Fraction slope key instead of
 the package's integer insertion sort, validation in separate passes, the
-mutation rules on LogDatum objects instead of the package's flat-state
-kernel, canonical keys from explicit SL(2,Z) maps, iterative deepening
-instead of breadth-first search, subset enumeration by sizes instead of
-bitmasks, numeric sampling next to Groebner bases, and the wall checks on
-sympy expressions instead of sympy's polynomial rings.
+legal moves and the mutation rules on LogDatum objects from the height's
+definition instead of the package's flat-state kernel, canonical keys from
+explicit SL(2,Z) maps, iterative deepening instead of breadth-first search,
+subset enumeration by sizes instead of bitmasks, numeric sampling with its
+own derivatives next to Groebner bases, and the wall checks on sympy
+expressions instead of sympy's polynomial rings.
 """
 from __future__ import annotations
 
@@ -25,11 +26,9 @@ from logmut import (
     UnimodularMap,
     WallAssignment,
     canonical_tuple,
-    legal_mutations,
     shear_map,
     sform,
     to_east,
-    u_height,
     Vec,
     primitive_split,
     validate,
@@ -46,7 +45,7 @@ from logmut.logdatum import lattice_vector, normalize_partition
 
 
 def ccw_key(v: Vec) -> tuple:
-    """Reference sort key for the counterclockwise order of ccw_precedes.
+    """Reference sort key for the counterclockwise order of sort_ccw.
 
     The quarter turn [k*pi/2, (k+1)*pi/2) holding v comes first; within it
     the angle increases strictly with the slope y/x, compared as an exact
@@ -92,6 +91,27 @@ def validate_reference(raw_edges) -> LogDatum:
     if total != (0, 0):
         raise ClosureViolation(f"edges sum to {total}, not (0, 0)")
     return LogDatum(tuple(sorted(edges, key=lambda edge: ccw_key(edge.e))))
+
+
+def u_height(S: LogDatum, u: Vec) -> int:
+    """The height of S along u: the sum over all edges e of {u, e}_+."""
+    x, y = u
+    return sum(c for c in (x * ey - y * ex for (ex, ey), _ in S.edges) if c > 0)
+
+
+def legal_moves(S: LogDatum) -> list[tuple[int, int]]:
+    """Every (j, k) with part k of edge j at most the height along u_j,
+    keeping only the first index k of each part value."""
+    if len(S) <= 2:
+        raise NotRankTwo(f"mutation is defined for rank-two data; got {len(S)} edges")
+    moves = []
+    for j, ((x, y), nu) in enumerate(S.edges, start=1):
+        g = gcd(abs(x), abs(y))
+        h = u_height(S, (x // g, y // g))
+        for k, part in enumerate(nu, start=1):
+            if part <= h and part not in nu[: k - 1]:
+                moves.append((j, k))
+    return moves
 
 
 def mutate(S: LogDatum, j: int, k: int) -> LogDatum:
@@ -213,10 +233,10 @@ def iddfs_zero_mutable(
             if len(datum) <= 2:
                 continue  # rank-one dead end: no moves from here
             if depth == cutoff:
-                if legal_mutations(datum):
+                if legal_moves(datum):
                     hit_cutoff = True
                 continue
-            for j, k in legal_mutations(datum):
+            for j, k in legal_moves(datum):
                 child = mutate(datum, j, k)
                 if _is_success(child):
                     found = True
@@ -250,6 +270,19 @@ def irreducible_oracle(S: LogDatum) -> bool:
     return True
 
 
+def derivatives(terms: dict) -> tuple[dict, dict]:
+    """d/dx and d/du of a {(x_degree, u_degree): coefficient} polynomial."""
+    fx = {(a - 1, b): c * a for (a, b), c in terms.items() if a}
+    fu = {(a, b - 1): c * b for (a, b), c in terms.items() if b}
+    return fx, fu
+
+
+def value(terms: dict, x0, u0) -> Fraction:
+    """The polynomial {(x_degree, u_degree): coefficient} at x = x0, u = u0."""
+    x0, u0 = Fraction(x0), Fraction(u0)
+    return sum((c * x0**a * u0**b for (a, b), c in terms.items()), Fraction(0))
+
+
 def singular_point_search(f, box: int = 6, denominators=(1, 2, 3)):
     """Search a rational grid for a common zero of f, df/dx, df/du.
 
@@ -258,18 +291,15 @@ def singular_point_search(f, box: int = 6, denominators=(1, 2, 3)):
     whose singularities are known to be rational, and as a necessary
     condition on smooth verdicts.
     """
-    fx, fu = f.diff_x(), f.diff_u()
+    terms = dict(f.terms)
+    system = (terms, *derivatives(terms))
     points = []
     for qd in denominators:
         for a in range(-box, box + 1):
             points.append(Fraction(a, qd))
     for x0 in points:
         for u0 in points:
-            if (
-                f.evaluate(x0, u0) == 0
-                and fx.evaluate(x0, u0) == 0
-                and fu.evaluate(x0, u0) == 0
-            ):
+            if all(value(p, x0, u0) == 0 for p in system):
                 return (x0, u0)
     return None
 
@@ -321,9 +351,9 @@ def wall_problems(
             continue
         for k, (factor, part) in enumerate(zip(wall, edge.nu), start=1):
             if to_sympy(factor).subs(_X, 0) != _U**part:
+                restriction = BiPoly(tuple(t for t in factor.terms if t[0][0] == 0))
                 problems.append(
-                    f"wall {i} factor {k}: restriction {factor.restrict_to_u()} "
-                    f"!= u^{part}"
+                    f"wall {i} factor {k}: restriction {restriction} != u^{part}"
                 )
             elif not is_smooth_curve(factor):
                 problems.append(f"wall {i} factor {k}: zero curve is singular")

@@ -76,6 +76,14 @@ def test_validate_rejects_inexact_numbers(capsys, monkeypatch):
     assert code == 2 and out == "" and "error:" in err
 
 
+def test_validate_rejects_ill_shaped_documents(capsys, monkeypatch):
+    for doc in ('{"edges": 5}', '{"edges": null}', '{"name": "Tom", "edges": 5}',
+                '{"name": 5}', "[]", "5"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+        code, out, err = run(capsys, "validate", "-")
+        assert (code, out) == (2, "") and err.startswith("error: "), doc
+
+
 def test_validate_rejects_unknown_name_and_bad_json(capsys, tmp_path):
     code, _, err = run(capsys, "validate", "Spike")
     assert code == 1 and "neither a file nor a named datum" in err
@@ -235,6 +243,14 @@ def test_enumerate_rejects_inexact_numbers(capsys):
     for edges in ("[[1.0,0],[-1,0]]", "[[true,0],[-1,0]]", '[["1",0],[-1,0]]'):
         code, out, err = run(capsys, "enumerate", "--edges", edges)
         assert code == 2 and out == "" and "not a pair of integers" in err
+
+
+def test_enumerate_rejects_ill_shaped_edge_lists(capsys):
+    for edges in ("[[1,0],5]", "7", '{"a":1}', '"ab"', "null", "[[1,0],[-1,0,0]]"):
+        code, out, err = run(capsys, "enumerate", "--edges", edges)
+        assert (code, out) == (2, "") and err.startswith("error: "), edges
+    code, _, err = run(capsys, "enumerate", "--edges", '{"a":1}')
+    assert "is not a JSON array" in err
 
 
 # --- render ---------------------------------------------------------------------

@@ -184,6 +184,23 @@ def test_certificate_json_rejects_inexact_steps():
             Certificate.from_obj({"steps": [step], "terminal": terminal})
 
 
+def test_certificate_json_rejects_ill_shaped_documents():
+    terminal = datum_to_obj(an_datum(0))
+    for obj in (
+        5,
+        [],
+        {},
+        {"steps": 5},
+        {"steps": [5], "terminal": terminal},
+        {"steps": [[1, 1]], "terminal": terminal},
+        {"steps": [{"edge": 1}], "terminal": terminal},
+        {"steps": [{"edge": 1, "part": 1}]},
+        {"steps": [], "terminal": 5},
+    ):
+        with pytest.raises(InvalidDatum):
+            Certificate.from_obj(obj)
+
+
 def test_certificate_part_is_a_value_not_an_index():
     # Tom's first certificate step removes the part of value 2 from edge 1,
     # which sits at index 1; a later datum could have it at another index.

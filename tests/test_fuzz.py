@@ -1,0 +1,64 @@
+"""Fuzzing of the JSON input boundary: every document, however ill-shaped,
+is either accepted or rejected with a LogMutError, which the CLI maps to a
+documented exit code, never with a traceback.
+
+Name strings come from a short fixed list: a name such as An(10**8) is
+valid and builds a partition of that size, which is a separate bound.
+"""
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from logmut import Certificate, LogMutError, datum_from_obj
+
+KEYS = ("edges", "e", "nu", "name", "steps", "edge", "part", "terminal")
+NAMES = ("Tom", "Jerry", "An(0)", "An(2)", "An(-1)", "Spike", "", "1")
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(NAMES)
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=4),
+    max_leaves=16,
+)
+# Documents close to the real shapes, so that the checks past the first
+# type test are reached too.
+small = st.integers(-3, 3) | json_values
+edge = st.fixed_dictionaries(
+    {"e": st.lists(small, min_size=2, max_size=2) | json_values,
+     "nu": st.lists(small, max_size=3) | json_values},
+)
+datum = st.fixed_dictionaries(
+    {"edges": st.lists(edge | json_values, max_size=4)},
+    optional={"name": json_values},
+)
+certificate = st.fixed_dictionaries(
+    {"steps": st.lists(
+        st.fixed_dictionaries({"edge": small, "part": small}) | json_values,
+        max_size=3,
+    ),
+     "terminal": datum | json_values},
+)
+documents = json_values | datum | certificate
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=300,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(documents)
+def test_documents_parse_or_raise_a_logmut_error(doc):
+    for parse in (datum_from_obj, Certificate.from_obj):
+        try:
+            parse(doc)
+        except LogMutError:
+            pass
+        except KeyError as exc:  # an unknown name string, exit 1 in the CLI
+            assert "unknown datum name" in str(exc), (parse.__name__, doc)

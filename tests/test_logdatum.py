@@ -23,7 +23,6 @@ from logmut import (
     polygon,
     rank,
     tom_datum,
-    u_height,
     validate,
 )
 from logmut.errors import (
@@ -36,7 +35,7 @@ from logmut.errors import (
     TooFewEdges,
     ZeroVector,
 )
-from logmut.lattice import ccw_precedes, primitive_split
+from logmut.lattice import primitive_split
 
 import oracles
 from conftest import random_datum
@@ -102,10 +101,10 @@ def _corrupt(rng: random.Random, raw: list) -> list:
 
 def test_validate_matches_the_reference_on_shuffled_and_corrupted_input():
     """validate splits each edge once and orders with integers only: on
-    shuffled input its order must be ccw_precedes pairwise and the
-    reference's Fraction sort, with the stored lengths and directions
-    those of its edges; a corrupted input must raise the reference's
-    exception with the same message."""
+    shuffled input its order must increase strictly in the reference key
+    and equal the reference's Fraction sort, with the stored lengths and
+    directions those of its edges; a corrupted input must raise the
+    reference's exception with the same message."""
     rng = random.Random(712)
     raised = set()
     for _ in range(600):
@@ -117,7 +116,7 @@ def test_validate_matches_the_reference_on_shuffled_and_corrupted_input():
         dirs = T.directions
         for i in range(len(dirs)):
             for j in range(len(dirs)):
-                assert ccw_precedes(dirs[i], dirs[j]) == (i < j)
+                assert (oracles.ccw_key(dirs[i]) < oracles.ccw_key(dirs[j])) == (i < j)
         assert tuple(primitive_split(edge.e) for edge in T.edges) == tuple(
             zip(T.lengths, dirs)
         )
@@ -154,10 +153,10 @@ def test_rank_one_zero_mutability_is_partition_equality():
 def test_u_height():
     S = tom_datum()
     # {(1,0), e}_+ over edges (3,0), (0,2), (-3,-2): 0 + 2 + 0
-    assert u_height(S, (1, 0)) == 2
-    assert u_height(S, (0, 1)) == 3
-    assert u_height(S, (-1, 0)) == 2
-    assert u_height(S, (0, -1)) == 3
+    assert oracles.u_height(S, (1, 0)) == 2
+    assert oracles.u_height(S, (0, 1)) == 3
+    assert oracles.u_height(S, (-1, 0)) == 2
+    assert oracles.u_height(S, (0, -1)) == 3
 
 
 def test_polygon_closes():
@@ -275,6 +274,18 @@ def test_datum_from_obj_rejects_garbage():
         datum_from_obj({"edges": [{"e": [1, 0]}]})
     with pytest.raises(InvalidDatum):
         datum_from_obj({"edges": "nope"})
+    for obj in (
+        {"edges": 5},
+        {"edges": None},
+        {"edges": {"e": [1, 0], "nu": [1]}},
+        {"name": "Tom", "edges": 5},
+        {"name": 5},
+        {"name": ["Tom"], "edges": []},
+    ):
+        with pytest.raises(InvalidDatum):
+            datum_from_obj(obj)
+    with pytest.raises(KeyError):
+        datum_from_obj({"name": "Spike"})
 
 
 def test_inexact_input_is_rejected_not_coerced():

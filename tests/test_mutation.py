@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from logmut import (
@@ -9,10 +11,12 @@ from logmut import (
     mutate_by_value,
     mutate_with_trace,
     tom_datum,
-    u_height,
     validate,
 )
 from logmut.errors import IllegalMutation, NotRankTwo
+
+from conftest import random_datum
+from oracles import legal_moves, u_height
 
 
 def fig_datum():
@@ -41,6 +45,14 @@ def test_mutate_by_value_matches_index():
     assert mutate_by_value(S, 4, 1) == mutate(S, 4, 2)
     with pytest.raises(IllegalMutation):
         mutate_by_value(S, 3, 7)
+    # The checks come in order: rank, edge index, part value, then height.
+    with pytest.raises(IllegalMutation, match="no part of value 1"):
+        mutate_by_value(S, 3, 1)  # 1 <= h = 3, but edge 3 is (-2, 0) with (2,)
+    for j in (0, 5):
+        with pytest.raises(IllegalMutation, match=f"edge index {j} out of range"):
+            mutate_by_value(S, j, 1)
+    with pytest.raises(NotRankTwo):
+        mutate_by_value(validate([((2, 0), (2,)), ((-2, 0), (2,))]), 9, 5)
 
 
 def test_multi_part_edge_shrinks():
@@ -144,6 +156,19 @@ def test_legal_mutations_match_legality():
                     if h < part:
                         with pytest.raises(IllegalMutation):
                             mutate(S, j, k)
+    # The kernel's heights against the height's definition on 1,200 seeded
+    # random rank-two data; coordinate bound 2 makes -u_j edges common.
+    rng = random.Random(130)
+    compared = opposite = 0
+    while compared < 1200:
+        S = random_datum(rng, coord_bound=rng.choice((2, 20)))
+        if len(S) < 3:
+            continue
+        assert legal_mutations(S) == legal_moves(S), S
+        dirs = set(S.directions)
+        opposite += any((-x, -y) in dirs for x, y in dirs)
+        compared += 1
+    assert opposite >= 200
 
 
 def test_mutation_output_is_at_least_rank_one():

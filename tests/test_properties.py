@@ -15,7 +15,6 @@ from logmut import (
     mutate,
     mutate_with_trace,
     sform,
-    u_height,
     validate,
     verify_certificate,
 )
@@ -60,14 +59,14 @@ def test_mutation_preserves_height_along_its_direction():
     for _ in range(CASES):
         S, j, k = mutable_case(rng)
         u = S.directions[j - 1]
-        assert u_height(mutate(S, j, k), u) == u_height(S, u)
+        assert oracles.u_height(mutate(S, j, k), u) == oracles.u_height(S, u)
 
 
 def test_total_length_bookkeeping():
     rng = random.Random(603)
     for _ in range(CASES):
         S, j, k = mutable_case(rng)
-        h = u_height(S, S.directions[j - 1])
+        h = oracles.u_height(S, S.directions[j - 1])
         part = S.edges[j - 1].nu[k - 1]
         assert mutate(S, j, k).total_length == S.total_length + h - 2 * part
 
