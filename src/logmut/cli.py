@@ -10,7 +10,7 @@ Exit codes:
   0  success (decide: verdict Yes)
   1  I/O or parse error (bad JSON, unknown name, bad polynomial text)
   2  invalid datum or edge list, ill-shaped wall assignment, negative search limit
-  3  illegal mutation
+  3  illegal mutation (mutate on rank-one data exits 2: not rank two)
   4  decide: verdict No
   5  decide: verdict Unknown
 """
@@ -91,10 +91,6 @@ def cmd_validate(args) -> int:
 
 def cmd_mutate(args) -> int:
     S = load_datum(args.datum)
-    if not 1 <= args.edge <= len(S):
-        raise IllegalMutation(
-            f"edge index {args.edge} out of range 1..{len(S)}"
-        )
     k = args.part
     if args.part_value is not None:
         k = part_index(S, args.edge, args.part_value)

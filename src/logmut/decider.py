@@ -21,7 +21,6 @@ from typing import NamedTuple, Optional, Sequence
 from .errors import IllegalMutation, InvalidDatum, NotRankTwo
 from .lattice import Vec, primitive_split
 from .logdatum import (
-    Edge,
     LogDatum,
     Partition,
     datum_from_obj,
@@ -39,17 +38,6 @@ from .mutation import _expand_state, _state, mutate_by_value
 # serialization.  Flat tuples keep the objects a visited class holds to its
 # key alone, and a frontier class to its state.  LogDatum objects are
 # rebuilt only for the final certificate (by replaying through mutate).
-
-
-def _own_key(state: tuple) -> tuple:
-    """The state's own serialization in key form, with no normalizing map:
-    equal to its _canonical_key exactly when the state is the canonical
-    representative of its class."""
-    out = []
-    it = iter(state)
-    for l, nu, dx, dy in zip(it, it, it, it):
-        out += (l * dx, l * dy, nu)
-    return tuple(out)
 
 
 def _canonical_key(state: tuple) -> tuple:
@@ -127,10 +115,7 @@ def canonicalize(S: LogDatum) -> str:
 
 def canonical_rep(S: LogDatum) -> LogDatum:
     """The distinguished concrete datum of S's isomorphism class."""
-    if len(S) == 0:
-        return S
-    best = canonical_tuple(S)
-    return LogDatum(tuple(Edge(e, nu) for e, nu in best))
+    return validate(canonical_tuple(S))  # the key is east-first already
 
 
 class CertStep(NamedTuple):
@@ -254,7 +239,10 @@ def is_zero_mutable(
                 if len(child) == 8 and child[1] == child[5]:  # success
                     if first_success is None:
                         first_success = (node, edge, part, child)
-                    if _own_key(child) == _canonical_key(child):
+                    # The key of a rank-one (l*u, nu), (-l*u, nu) is
+                    # (l, 0, nu, -l, 0, nu): the child is its own
+                    # canonical representative exactly when u = (1, 0).
+                    if child[3] == 0:
                         canonical_success = (node, edge, part, child)
                         break
                 elif first_success is None:

@@ -10,9 +10,8 @@ deterministic.  The empty datum is valid (vacuous closure) but has no rank.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -42,20 +41,16 @@ class Edge(NamedTuple):
     e: Vec
     nu: Partition
 
-    @property
-    def length(self) -> int:
-        return primitive_split(self.e)[0]
-
-    @property
-    def direction(self) -> Vec:
-        return primitive_split(self.e)[1]
-
 
 @dataclass(frozen=True)
 class LogDatum:
-    """A validated log datum; construct via validate()."""
+    """A validated log datum; construct via validate(), which also stores
+    the length and primitive direction of each edge.  Equality and hashing
+    use only `edges`."""
 
     edges: tuple[Edge, ...]
+    lengths: tuple[int, ...] = field(compare=False, repr=False)
+    directions: tuple[Vec, ...] = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -63,18 +58,7 @@ class LogDatum:
     def __iter__(self) -> Iterator[Edge]:
         return iter(self.edges)
 
-    # cached_property stores into the instance __dict__, which a frozen
-    # dataclass permits; equality and hashing still use only `edges`.
-    # validate() fills both from the one split per edge it already made.
-    @cached_property
-    def directions(self) -> tuple[Vec, ...]:
-        return tuple(edge.direction for edge in self.edges)
-
-    @cached_property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(edge.length for edge in self.edges)
-
-    @cached_property
+    @property
     def total_length(self) -> int:
         return sum(self.lengths)
 
@@ -145,10 +129,11 @@ def validate(raw_edges: Sequence[tuple[Vec, Iterable[int]]]) -> LogDatum:
         raise ClosureViolation(f"edges sum to {(sx, sy)}, not (0, 0)")
 
     order = sort_ccw(range(len(edges)), directions.__getitem__)
-    S = LogDatum(tuple([edges[i] for i in order]))
-    S.__dict__["lengths"] = tuple([lengths[i] for i in order])
-    S.__dict__["directions"] = tuple([directions[i] for i in order])
-    return S
+    return LogDatum(
+        tuple([edges[i] for i in order]),
+        tuple([lengths[i] for i in order]),
+        tuple([directions[i] for i in order]),
+    )
 
 
 def rank(S: LogDatum) -> Rank:

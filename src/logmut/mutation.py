@@ -225,12 +225,18 @@ def _expand_state(state: tuple, back: Optional[tuple] = None) -> list:
     return out
 
 
-def _part_at(S: LogDatum, j: int, k: int) -> int:
-    """The value of part k of edge j, after the rank and index checks."""
+def _partition_at(S: LogDatum, j: int) -> tuple:
+    """The partition of edge j, after the rank check and then the edge
+    index check."""
     _check_rank_two(S)
     if not 1 <= j <= len(S):
         raise IllegalMutation(f"edge index {j} out of range 1..{len(S)}")
-    nu = S.edges[j - 1].nu
+    return S.edges[j - 1].nu
+
+
+def _part_at(S: LogDatum, j: int, k: int) -> int:
+    """The value of part k of edge j, after the rank and index checks."""
+    nu = _partition_at(S, j)
     if not 1 <= k <= len(nu):
         raise IllegalMutation(f"part index {k} out of range 1..{len(nu)} for edge {j}")
     return nu[k - 1]
@@ -262,9 +268,7 @@ def mutate(S: LogDatum, j: int, k: int) -> LogDatum:
 
 def part_index(S: LogDatum, j: int, value: int) -> int:
     """The 1-based index of the first part of edge j equal to value."""
-    if not 1 <= j <= len(S):
-        raise IllegalMutation(f"edge index {j} out of range 1..{len(S)}")
-    nu = S.edges[j - 1].nu
+    nu = _partition_at(S, j)
     try:
         return nu.index(value) + 1
     except ValueError:
@@ -278,6 +282,5 @@ def mutate_by_value(S: LogDatum, j: int, value: int) -> LogDatum:
 
     Certificates address parts by value, which survives partition re-sorting.
     """
-    _check_rank_two(S)
     part_index(S, j, value)  # raises unless edge j has a part of this value
     return _mutate_part(S, j, value, None)

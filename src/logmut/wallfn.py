@@ -57,8 +57,7 @@ class BiPoly:
             if c != 0:
                 if dx < 0 or du < 0:
                     raise ValueError(f"negative exponent in term {(dx, du)}")
-                cleaned[(dx, du)] = cleaned.get((dx, du), Fraction(0)) + c
-        cleaned = {k: v for k, v in cleaned.items() if v != 0}
+                cleaned[(dx, du)] = c
         return BiPoly(tuple(sorted(cleaned.items())))
 
     @staticmethod
@@ -290,11 +289,6 @@ def _in_ux(f: BiPoly):
     )
 
 
-def _resultant_u(f: BiPoly, g: BiPoly):
-    """Res_u(f, g) as an element of Q[x]."""
-    return _in_ux(f).resultant(_in_ux(g))
-
-
 def _smooth(f: BiPoly, smooth: dict[BiPoly, bool]) -> bool:
     """is_smooth_curve(f), decided once per `smooth`, a dict that lives for
     one public call."""
@@ -302,16 +296,6 @@ def _smooth(f: BiPoly, smooth: dict[BiPoly, bool]) -> bool:
     if known is None:
         known = smooth[f] = is_smooth_curve(f)
     return known
-
-
-def _proportional(f: BiPoly, g: BiPoly) -> bool:
-    if f.is_zero() or g.is_zero():
-        return f.is_zero() and g.is_zero()
-    fd, gd = f.as_dict(), g.as_dict()
-    if set(fd) != set(gd):
-        return False
-    ratios = {gd[k] / fd[k] for k in fd}
-    return len(ratios) == 1
 
 
 def _wall_reports(
@@ -342,15 +326,16 @@ def _wall_reports(
         return sub, None
     problems = []
     for i, wall in enumerate(W.factors, start=1):
-        for a in range(len(wall)):
-            for b in range(a + 1, len(wall)):
-                f, g = wall[a], wall[b]
-                if _proportional(f, g):
+        polys = [_in_ux(f) for f in wall]
+        for a in range(len(polys)):
+            for b in range(a + 1, len(polys)):
+                f, g = polys[a], polys[b]
+                if f.monic() == g.monic():  # proportional, or both zero
                     problems.append(
                         f"wall {i}: factors {a + 1} and {b + 1} are proportional"
                     )
                     continue
-                res = _resultant_u(f, g)
+                res = f.resultant(g)  # Res_u, an element of Q[x]
                 if len(res) != 1:  # zero, or more than one term
                     problems.append(
                         f"wall {i}: Res_u(factor {a + 1}, factor {b + 1}) = "

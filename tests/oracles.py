@@ -5,10 +5,11 @@ counterclockwise order as a sort by an exact Fraction slope key instead of
 the package's integer insertion sort, validation in separate passes, the
 legal moves and the mutation rules on LogDatum objects from the height's
 definition instead of the package's flat-state kernel, canonical keys from
-explicit SL(2,Z) maps, iterative deepening instead of breadth-first search,
-subset enumeration by sizes instead of bitmasks, numeric sampling with its
-own derivatives next to Groebner bases, and the wall checks on sympy
-expressions instead of sympy's polynomial rings.
+explicit SL(2,Z) maps, iterative deepening over those keys and these
+mutation rules instead of breadth-first search, subset enumeration by sizes
+instead of bitmasks, numeric sampling with its own derivatives next to
+Groebner bases, and the wall checks on sympy expressions instead of sympy's
+polynomial rings.
 """
 from __future__ import annotations
 
@@ -25,13 +26,11 @@ from logmut import (
     LogDatum,
     UnimodularMap,
     WallAssignment,
-    canonical_tuple,
     shear_map,
     sform,
     to_east,
     Vec,
     primitive_split,
-    validate,
 )
 from logmut.errors import (
     ClosureViolation,
@@ -70,27 +69,33 @@ def ccw_key(v: Vec) -> tuple:
 
 def validate_reference(raw_edges) -> LogDatum:
     """validate() as a sequence of separate passes: the edge checks, then
-    duplicate directions, then closure, then a sort by ccw_key."""
+    duplicate directions, then closure, then a sort by ccw_key.  Lengths and
+    directions come from one split per edge."""
     edges = []
     for e_raw, nu_raw in raw_edges:
         e = lattice_vector(e_raw)
         nu = normalize_partition(nu_raw)
-        length, _ = primitive_split(e)
+        length, u = primitive_split(e)
         if sum(nu) != length:
             raise PartitionSumMismatch(
                 f"partition {nu} sums to {sum(nu)}, edge {e} has length {length}"
             )
-        edges.append(Edge(e, nu))
+        edges.append((Edge(e, nu), length, u))
     seen = set()
-    for edge in edges:
-        u = primitive_split(edge.e)[1]
+    for _, _, u in edges:
         if u in seen:
             raise DuplicateDirection(f"direction {u} appears more than once")
         seen.add(u)
-    total = (sum(edge.e[0] for edge in edges), sum(edge.e[1] for edge in edges))
+    vectors = [edge.e for edge, _, _ in edges]
+    total = (sum(x for x, _ in vectors), sum(y for _, y in vectors))
     if total != (0, 0):
         raise ClosureViolation(f"edges sum to {total}, not (0, 0)")
-    return LogDatum(tuple(sorted(edges, key=lambda edge: ccw_key(edge.e))))
+    edges.sort(key=lambda item: ccw_key(item[0].e))
+    return LogDatum(
+        tuple(edge for edge, _, _ in edges),
+        tuple(length for _, length, _ in edges),
+        tuple(u for _, _, u in edges),
+    )
 
 
 def u_height(S: LogDatum, u: Vec) -> int:
@@ -154,7 +159,7 @@ def mutate(S: LogDatum, j: int, k: int) -> LogDatum:
     if len(edge_j.nu) > 1:  # (2a); otherwise (2b) drops edge j
         remaining = list(edge_j.nu)
         remaining.pop(k - 1)
-        shrunk = edge_j.length - part
+        shrunk = S.lengths[j - 1] - part
         new_edges.append(((shrunk * u[0], shrunk * u[1]), tuple(remaining)))
 
     d = h - part
@@ -165,7 +170,7 @@ def mutate(S: LogDatum, j: int, k: int) -> LogDatum:
     elif d > 0:  # (3b)
         new_edges.append(((-d * u[0], -d * u[1]), (d,)))
 
-    return validate(new_edges)
+    return validate_reference(new_edges)
 
 
 def _normalizing_map(S: LogDatum, i: int) -> UnimodularMap:
@@ -224,7 +229,7 @@ def iddfs_zero_mutable(
     if _is_success(S):
         return ("yes", 0)
     for cutoff in range(1, max_depth + 1):
-        best_depth = {canonical_tuple(S): 0}
+        best_depth = {min(_candidates(S)): 0}
         hit_cutoff = False
         found = False
         stack: list[tuple[LogDatum, int]] = [(S, 0)]
@@ -241,7 +246,7 @@ def iddfs_zero_mutable(
                 if _is_success(child):
                     found = True
                     break
-                key = canonical_tuple(child)
+                key = min(_candidates(child))
                 prev = best_depth.get(key)
                 if prev is not None and prev <= depth + 1:
                     continue

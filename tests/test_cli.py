@@ -139,6 +139,14 @@ def test_mutate_illegal_exits_3(capsys, tmp_path):
     assert code == 3 and "no part of value 7" in err
 
 
+def test_mutate_rank_one_exits_2_before_any_index_check(capsys, tmp_path):
+    path = tmp_path / "rank_one.json"
+    path.write_text('{"edges":[{"e":[2,0],"nu":[2]},{"e":[-2,0],"nu":[2]}]}')
+    for extra in (["--edge", "9"], ["--edge", "1", "--part-value", "5"], ["--edge", "1"]):
+        code, out, err = run(capsys, "mutate", str(path), *extra)
+        assert code == 2 and out == "" and "rank-two" in err, extra
+
+
 # --- decide ---------------------------------------------------------------------
 
 

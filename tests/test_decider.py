@@ -19,6 +19,7 @@ from logmut import (
     jerry_datum,
     legal_mutations,
     mutate,
+    partitions_of,
     replay,
     tom_datum,
     validate,
@@ -80,8 +81,25 @@ def test_canonical_rep_is_idempotent_member_of_class():
 
 def test_canonical_of_empty_and_rank_one():
     assert canonical_tuple(validate([])) == ()
+    assert canonical_rep(validate([])) == validate([])
     minimal = validate([((1, 0), (1,)), ((-1, 0), (1,))])
     assert canonical_rep(minimal) == minimal  # the minimal rank-one class rep
+    # A rank-one datum with equal partitions (a search terminal) is its own
+    # canonical representative exactly when it is horizontal, the rule the
+    # search's tie-break reads off a state.
+    rng = random.Random(88)
+    seen = set()
+    for _ in range(300):
+        x, y = rng.choice(((1, 0), (-1, 0), (rng.randint(-6, 6), rng.randint(-6, 6))))
+        if gcd(x, y) != 1:
+            continue
+        l = rng.randint(1, 4)
+        nu = rng.choice(partitions_of(l))
+        T = validate([((l * x, l * y), nu), ((-l * x, -l * y), nu)])
+        canonical = canonical_rep(T) == T
+        assert canonical == (T.directions[0] == (1, 0)), T
+        seen.add(canonical)
+    assert seen == {True, False}
 
 
 def test_decide_immediate_success():

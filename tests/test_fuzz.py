@@ -1,13 +1,20 @@
-"""Fuzzing of the JSON input boundary: every document, however ill-shaped,
-is either accepted or rejected with a LogMutError, which the CLI maps to a
-documented exit code, never with a traceback.
+"""Fuzzing of the input boundary: every document or polynomial text, however
+ill-shaped, is either accepted or rejected with a LogMutError or (for text
+that does not parse) a ValueError, which the CLI maps to a documented exit
+code, never with a traceback.
 
 Name strings come from a short fixed list: a name such as An(10**8) is
 valid and builds a partition of that size, which is a separate bound.
 """
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from logmut import Certificate, LogMutError, datum_from_obj
+from logmut import (
+    Certificate,
+    LogMutError,
+    WallAssignment,
+    datum_from_obj,
+    parse_bipoly,
+)
 
 KEYS = ("edges", "e", "nu", "name", "steps", "edge", "part", "terminal")
 NAMES = ("Tom", "Jerry", "An(0)", "An(2)", "An(-1)", "Spike", "", "1")
@@ -62,3 +69,36 @@ def test_documents_parse_or_raise_a_logmut_error(doc):
             pass
         except KeyError as exc:  # an unknown name string, exit 1 in the CLI
             assert "unknown datum name" in str(exc), (parse.__name__, doc)
+
+
+# Polynomial text over the grammar's own characters, and any text at all.
+grammar = st.sampled_from("xzu0123456789+-*/^ .")
+poly_texts = st.text(grammar, max_size=24) | st.text(max_size=12)
+coefficients = st.integers(-3, 3) | st.sampled_from(("1", "-2/3", "1/0", "1.5", "u"))
+term = st.lists(coefficients | json_values, min_size=3, max_size=3) | json_values
+polynomial = poly_texts | st.lists(term, max_size=3) | json_values
+walls = st.lists(st.lists(polynomial, max_size=3) | json_values, max_size=3)
+wall_documents = walls | st.fixed_dictionaries({"walls": walls}) | json_values
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(poly_texts)
+def test_polynomial_text_parses_or_raises_a_value_error(text):
+    try:
+        parse_bipoly(text)
+    except ValueError:
+        pass
+
+
+@settings(
+    derandomize=True,
+    deadline=None,
+    max_examples=300,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(wall_documents)
+def test_wall_documents_parse_or_raise(doc):
+    try:
+        WallAssignment.from_obj(doc)
+    except (ValueError, LogMutError):
+        pass

@@ -112,7 +112,8 @@ def test_validate_matches_the_reference_on_shuffled_and_corrupted_input():
         raw = list(S.serialize())
         rng.shuffle(raw)
         T = validate(raw)
-        assert T == S and T.serialize() == _outcome(oracles.validate_reference, raw)
+        assert T == S and hash(T) == hash(S)
+        assert T.serialize() == _outcome(oracles.validate_reference, raw)
         dirs = T.directions
         for i in range(len(dirs)):
             for j in range(len(dirs)):

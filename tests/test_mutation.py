@@ -14,6 +14,7 @@ from logmut import (
     validate,
 )
 from logmut.errors import IllegalMutation, NotRankTwo
+from logmut.mutation import part_index
 
 from conftest import random_datum
 from oracles import legal_moves, u_height
@@ -51,8 +52,11 @@ def test_mutate_by_value_matches_index():
     for j in (0, 5):
         with pytest.raises(IllegalMutation, match=f"edge index {j} out of range"):
             mutate_by_value(S, j, 1)
+    rank_one = validate([((2, 0), (2,)), ((-2, 0), (2,))])
     with pytest.raises(NotRankTwo):
-        mutate_by_value(validate([((2, 0), (2,)), ((-2, 0), (2,))]), 9, 5)
+        mutate_by_value(rank_one, 9, 5)
+    with pytest.raises(NotRankTwo):
+        part_index(rank_one, 1, 5)
 
 
 def test_multi_part_edge_shrinks():
@@ -92,16 +96,15 @@ def test_opposite_edge_gains_part():
 def test_total_length_bookkeeping():
     # sum of lengths changes by h - 2*part
     for S, j, k in [(tom_datum(), 1, 1), (jerry_datum(), 2, 1), (fig_datum(), 3, 1)]:
-        edge = S.edges[j - 1]
-        part = edge.nu[k - 1]
-        h = u_height(S, edge.direction)
+        part = S.edges[j - 1].nu[k - 1]
+        h = u_height(S, S.directions[j - 1])
         T = mutate(S, j, k)
         assert T.total_length == S.total_length + h - 2 * part
 
 
 def test_height_in_mutation_direction_is_invariant():
     for S, j, k in [(tom_datum(), 1, 1), (jerry_datum(), 2, 1), (fig_datum(), 3, 1)]:
-        u = S.edges[j - 1].direction
+        u = S.directions[j - 1]
         assert u_height(mutate(S, j, k), u) == u_height(S, u)
 
 
@@ -142,8 +145,8 @@ def test_legal_mutations_one_per_distinct_value():
 def test_legal_mutations_match_legality():
     for S in (tom_datum(), jerry_datum(), an_datum(3), fig_datum()):
         moves = set(legal_mutations(S))
-        for j, edge in enumerate(S.edges, start=1):
-            h = u_height(S, edge.direction)
+        for j, (edge, u) in enumerate(zip(S.edges, S.directions), start=1):
+            h = u_height(S, u)
             first_of_value = {}
             for k, part in enumerate(edge.nu, start=1):
                 first_of_value.setdefault(part, k)

@@ -19,6 +19,7 @@ from logmut import (
     verify_certificate,
 )
 from logmut.decider import _canonical_key
+from logmut.lattice import primitive_split
 from logmut.mutation import _expand_state, _state
 
 from conftest import random_datum, random_unimodular
@@ -149,6 +150,9 @@ def test_canonical_form_is_idempotent_and_invariant():
         key = canonical_tuple(S)
         rep = canonical_rep(S)
         assert canonical_tuple(rep) == key and canonical_rep(rep) == rep
+        assert tuple(primitive_split(edge.e) for edge in rep.edges) == tuple(
+            zip(rep.lengths, rep.directions)
+        )
         for A in maps:
             assert canonical_tuple(apply_to_datum(A, S)) == key
         state = _state(S)
