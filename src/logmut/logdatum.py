@@ -152,27 +152,21 @@ def is_zero_mutable_rank_one(S: LogDatum) -> bool:
 def is_irreducible(S: LogDatum) -> bool:
     """gcd of the lengths is 1 and no proper nonempty edge subset sums to zero.
 
-    Subsets are enumerated exhaustively; |I| is small for every datum the
-    calculus produces.
+    If a proper subset sums to zero, so does its complement, and one of the
+    two leaves out the last edge: so it is enough that no nonempty subset of
+    the first m - 1 edges sums to zero.  Those subset sums are built edge by
+    edge as a set, so the work grows with the number of distinct partial
+    sums rather than with 2^m (not a hard bound for large coordinates).
     """
-    lengths = S.lengths
-    if not lengths:
+    if gcd(*S.lengths) != 1:
         return False
-    g = 0
-    for length in lengths:
-        g = gcd(g, length)
-    if g != 1:
-        return False
-    n = len(S)
-    vectors = [edge.e for edge in S.edges]
-    for mask in range(1, (1 << n) - 1):
-        sx = sy = 0
-        for i in range(n):
-            if mask >> i & 1:
-                sx += vectors[i][0]
-                sy += vectors[i][1]
-        if sx == 0 and sy == 0:
+    sums: set[Vec] = set()
+    for (x, y), _ in S.edges[:-1]:
+        step = {(x + sx, y + sy) for sx, sy in sums}
+        step.add((x, y))
+        if (0, 0) in step:
             return False
+        sums |= step
     return True
 
 
@@ -192,13 +186,10 @@ def dual_polygon(S: LogDatum) -> list[Vec]:
     """The polygon whose edges are the 90-degree clockwise rotations of the e_i.
 
     Each rotated edge (e.y, -e.x) then has inner normal u_i and integral
-    length l_i; closure carries over from S.
+    length l_i; closure carries over from S.  Its vertices are those of
+    polygon(S), turned by the same quarter turn.
     """
-    vertices = [(0, 0)]
-    for edge in S.edges[:-1]:
-        ex, ey = edge.e
-        vertices.append(vadd(vertices[-1], (ey, -ex)))
-    return vertices
+    return [(y, -x) for x, y in polygon(S)]
 
 
 _AN_RE = re.compile(r"^An\((\d+)\)$")
@@ -270,7 +261,7 @@ class ComponentReport:
 
 def _require_rank_two(S: LogDatum) -> None:
     if len(S) <= 2:
-        raise NotRankTwo(f"need more than two edges, got {len(S)}")
+        raise NotRankTwo(f"rank-two data need more than two edges; got {len(S)}")
 
 
 def fan_presentation(S: LogDatum) -> FanPresentation:

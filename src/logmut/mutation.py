@@ -22,18 +22,13 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import IllegalMutation, NotRankTwo
-from .logdatum import LogDatum, validate
+from .errors import IllegalMutation
+from .logdatum import LogDatum, _require_rank_two, validate
 
 
 class MutationIndex(NamedTuple):
     j: int  # 1-based edge position in counterclockwise order
     k: int  # 1-based part index into the (weakly decreasing) partition
-
-
-def _check_rank_two(S: LogDatum) -> None:
-    if len(S) <= 2:
-        raise NotRankTwo(f"mutation is defined for rank-two data; got {len(S)} edges")
 
 
 def legal_mutations(S: LogDatum) -> list[MutationIndex]:
@@ -42,7 +37,7 @@ def legal_mutations(S: LogDatum) -> list[MutationIndex]:
     Mutating equal parts gives equal results, so only the first index of each
     value is listed.  Heights come from the kernel, given no parts to mutate.
     """
-    _check_rank_two(S)
+    _require_rank_two(S)
     state = _state(S)
     moves = []
     for j, edge in enumerate(S.edges, start=1):
@@ -228,7 +223,7 @@ def _expand_state(state: tuple, back: Optional[tuple] = None) -> list:
 def _partition_at(S: LogDatum, j: int) -> tuple:
     """The partition of edge j, after the rank check and then the edge
     index check."""
-    _check_rank_two(S)
+    _require_rank_two(S)
     if not 1 <= j <= len(S):
         raise IllegalMutation(f"edge index {j} out of range 1..{len(S)}")
     return S.edges[j - 1].nu

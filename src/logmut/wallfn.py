@@ -45,7 +45,8 @@ _UX = sympy.ring("u,x", _QQ, sympy.grevlex)[0]
 
 @dataclass(frozen=True)
 class BiPoly:
-    """Sparse exact polynomial in Q[x, u]: {(x_degree, u_degree): coefficient}."""
+    """Sparse exact polynomial in Q[x, u]: {(x_degree, u_degree): coefficient}.
+    The text and JSON exchange format; arithmetic runs on the ring _UX."""
 
     terms: tuple[tuple[tuple[int, int], Fraction], ...]
 
@@ -61,41 +62,11 @@ class BiPoly:
         return BiPoly(tuple(sorted(cleaned.items())))
 
     @staticmethod
-    def zero() -> "BiPoly":
-        return BiPoly(())
-
-    @staticmethod
-    def monomial(c: Fraction | int, dx: int = 0, du: int = 0) -> "BiPoly":
-        return BiPoly.from_terms({(dx, du): Fraction(c)})
-
-    @staticmethod
-    def one() -> "BiPoly":
-        return BiPoly.monomial(1)
-
-    @staticmethod
     def u_power(n: int) -> "BiPoly":
-        return BiPoly.monomial(1, 0, n)
-
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return dict(self.terms)
-
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        out = self.as_dict()
-        for key, c in other.terms:
-            out[key] = out.get(key, Fraction(0)) + c
-        return BiPoly.from_terms(out)
+        return BiPoly.from_terms({(0, n): 1})
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
-        out: dict[tuple[int, int], Fraction] = {}
-        for (ax, au), ac in self.terms:
-            for (bx, bu), bc in other.terms:
-                key = (ax + bx, au + bu)
-                out[key] = out.get(key, Fraction(0)) + ac * bc
-        return BiPoly.from_terms(out)
-
-    def scale(self, c: Fraction | int) -> "BiPoly":
-        c = Fraction(c)
-        return BiPoly.from_terms({k: v * c for k, v in self.terms})
+        return _from_ux(_in_ux(self) * _in_ux(other))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -252,7 +223,7 @@ def joint_compatible(S: LogDatum, W: WallAssignment) -> bool:
     """Each wall's full function restricts to u^{l_i} on the joint (x = 0)."""
     _check_shape(S, W)
     return all(
-        math.prod(wall, start=BiPoly.one()).restrict_to_u().is_u_power(length)
+        math.prod(wall, start=BiPoly.u_power(0)).restrict_to_u().is_u_power(length)
         for length, wall in zip(S.lengths, W.factors)
     )
 
@@ -286,6 +257,12 @@ def is_smooth_curve(f: BiPoly) -> bool:
 def _in_ux(f: BiPoly):
     return _UX.from_dict(
         {(du, dx): _QQ(c.numerator, c.denominator) for (dx, du), c in f.terms}
+    )
+
+
+def _from_ux(p) -> BiPoly:
+    return BiPoly.from_terms(
+        {(dx, du): Fraction(c.numerator, c.denominator) for (du, dx), c in p.items()}
     )
 
 
@@ -391,25 +368,13 @@ def generic_wall_assignment(S: LogDatum, seed: int) -> WallAssignment:
     violates v_q >= D_q for some q (smallest example: (2,1,1,1)) admit no
     such tower and raise WallSynthesisError; see README.
     """
-    for edge in S.edges:
-        values = sorted(set(edge.nu))
-        below = 0
-        for v in values:
-            if v < below:
-                raise WallSynthesisError(
-                    f"partition {edge.nu} of edge {edge.e}: value {v} is smaller "
-                    f"than the sum {below} of all smaller parts; no dominant-tower "
-                    "assignment exists"
-                )
-            below += v * edge.nu.count(v)
-
     rng = random.Random(seed)
     smooth: dict[BiPoly, bool] = {}
     for _ in range(50):
         walls = []
         ok = True
         for edge in S.edges:
-            wall = _synthesize_wall(edge.nu, rng, smooth)
+            wall = _synthesize_wall(edge, rng, smooth)
             if wall is None:
                 ok = False
                 break
@@ -424,25 +389,35 @@ def generic_wall_assignment(S: LogDatum, seed: int) -> WallAssignment:
     )  # pragma: no cover - the tower construction passes on the first draw
 
 
-def _synthesize_wall(nu, rng: random.Random, smooth: dict[BiPoly, bool]):
-    """Factors for one wall, returned in the partition's (descending) order."""
-    x = BiPoly.monomial(1, 1, 0)
+def _synthesize_wall(edge, rng: random.Random, smooth: dict[BiPoly, bool]):
+    """Factors for one wall, returned in the partition's (descending) order;
+    WallSynthesisError if the partition admits no dominant tower."""
+    u, x = _UX.gens
+    nu = edge.nu
     by_value: dict[int, list[BiPoly]] = {}
-    core = BiPoly.one()  # product of all factors of strictly smaller values
+    core = _UX.one  # product of all factors of strictly smaller values
     below = 0
     for v in sorted(set(nu)):
+        if v < below:
+            raise WallSynthesisError(
+                f"partition {nu} of edge {edge.e}: value {v} is smaller "
+                f"than the sum {below} of all smaller parts; no dominant-tower "
+                "assignment exists"
+            )
         count = nu.count(v)
         gammas: list[Fraction] = []
         while len(gammas) < count:
             g = _draw_gamma(rng)
             if g not in gammas:
                 gammas.append(g)
-        base = BiPoly.u_power(v - below) * core
-        group = [base + x.scale(g) for g in gammas]
+        group = [
+            _from_ux(u ** (v - below) * core + _QQ(g.numerator, g.denominator) * x)
+            for g in gammas
+        ]
         if not all(_smooth(f, smooth) for f in group):
             return None  # redraw with fresh randomness
         by_value[v] = group
         for f in group:
-            core = core * f
+            core *= _in_ux(f)
         below += v * count
     return tuple(by_value[part].pop(0) for part in nu)

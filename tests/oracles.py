@@ -5,11 +5,11 @@ counterclockwise order as a sort by an exact Fraction slope key instead of
 the package's integer insertion sort, validation in separate passes, the
 legal moves and the mutation rules on LogDatum objects from the height's
 definition instead of the package's flat-state kernel, canonical keys from
-explicit SL(2,Z) maps, iterative deepening over those keys and these
-mutation rules instead of breadth-first search, subset enumeration by sizes
-instead of bitmasks, numeric sampling with its own derivatives next to
-Groebner bases, and the wall checks on sympy expressions instead of sympy's
-polynomial rings.
+their own Bezout pairs and shears on every base edge instead of pruned bases,
+iterative deepening over those keys and these mutation rules instead of
+breadth-first search, subset enumeration by sizes instead of partial sums,
+numeric sampling with its own derivatives next to Groebner bases, and the
+wall checks on sympy expressions instead of sympy's polynomial rings.
 """
 from __future__ import annotations
 
@@ -24,11 +24,8 @@ from logmut import (
     BiPoly,
     Edge,
     LogDatum,
-    UnimodularMap,
     WallAssignment,
-    shear_map,
     sform,
-    to_east,
     Vec,
     primitive_split,
 )
@@ -173,40 +170,46 @@ def mutate(S: LogDatum, j: int, k: int) -> LogDatum:
     return validate_reference(new_edges)
 
 
-def _normalizing_map(S: LogDatum, i: int) -> UnimodularMap:
-    """The canonical SL(2,Z) map for edge i: u_i -> (1,0), next direction
-    normalized by a shear to (p, q) with 0 <= p < q.
-
-    For rank-one data the next direction maps to (-1, 0), which every shear
-    fixes, so no shear is applied (the edge list is shear-independent there).
-    """
-    dirs = S.directions
-    base = to_east(dirs[i])
-    nxt = base.apply(dirs[(i + 1) % len(dirs)])
-    p, q = nxt
-    if q <= 0:
-        # Only possible for the antipode (-1, 0) of a rank-one datum.
-        return base
-    return shear_map(-(p // q)).compose(base)
+def _bezout(p: int, q: int) -> tuple[int, int]:
+    """(a, b) with a*p + b*q == 1 for coprime p and q, by the extended
+    Euclidean algorithm."""
+    r0, r1, a0, a1, b0, b1 = p, q, 1, 0, 0, 1
+    while r1:
+        t = r0 // r1
+        r0, r1 = r1, r0 - t * r1
+        a0, a1 = a1, a0 - t * a1
+        b0, b1 = b1, b0 - t * b1
+    return (a0, b0) if r0 == 1 else (-a0, -b0)
 
 
 def _candidates(S: LogDatum):
     """Reference construction of the transformed serializations, one per
-    choice of base edge.
+    choice of base edge i.
 
-    An orientation-preserving map preserves the counterclockwise cyclic
-    order and sends edge i's direction to (1, 0) — the angle the sort
-    starts from — so the sorted order of the image is just the rotation of
-    the transformed edges starting at i; no re-sort is needed.  The package
-    computes the same minimum with inlined integer arithmetic in
-    logmut.decider._canonical_key; tests pin the two against each other.
+    The rows [[a, b], [-q, p]], with (a, b) a Bezout pair of u_i = (p, q),
+    send u_i to (1, 0); adding a multiple of the second row to the first
+    (a shear fixing (1, 0)) brings the image (x, r) of the next direction
+    to 0 <= x < r.  For rank-one data the next direction maps to (-1, 0),
+    which every shear fixes, so none is applied.  An orientation-preserving
+    map keeps the counterclockwise cyclic order and sends u_i to the angle
+    the sort starts from, so the image, rotated to start at edge i, needs
+    no re-sort.  The package computes the same minimum with pruned, inlined
+    arithmetic in logmut.decider._canonical_key; tests pin the two against
+    each other.
     """
     edges = S.edges
+    dirs = S.directions
     m = len(edges)
     for i in range(m):
-        A = _normalizing_map(S, i)
-        images = [(A.apply(edge.e), edge.nu) for edge in edges]
-        yield tuple(images[(i + t) % m] for t in range(m))
+        p, q = dirs[i]
+        a, b = _bezout(p, q)
+        nx, ny = dirs[(i + 1) % m]
+        r = p * ny - q * nx
+        if r > 0:
+            k = (a * nx + b * ny) // r
+            a, b = a + k * q, b - k * p
+        images = [((a * x + b * y, p * y - q * x), nu) for (x, y), nu in edges]
+        yield tuple(images[i:] + images[:i])
 
 
 def _is_success(S: LogDatum) -> bool:

@@ -171,8 +171,8 @@ def test_polygon_closes():
 
 def test_dual_polygon_rotates_edges_clockwise():
     S = tom_datum()
-    dual = dual_polygon(S)
-    assert len(dual) == len(polygon(S))
+    assert polygon(S) == [(0, 0), (3, 0), (3, 2)]
+    assert dual_polygon(S) == [(0, 0), (0, -3), (2, -3)]
 
 
 def test_named_data():
@@ -200,6 +200,15 @@ def test_irreducibility():
     # the two horizontal edges cancel on their own
     S = validate([((1, 0), (1,)), ((0, 1), (1,)), ((-1, 0), (1,)), ((0, -1), (1,))])
     assert not is_irreducible(S)
+    # 24 edges, far beyond listing 2^24 subsets: every edge but the closing
+    # one has a positive x-coordinate, so no proper subset closes up
+    fan = [((1, k), (1,)) for k in range(23)] + [((-23, -253), (23,))]
+    assert is_irreducible(validate(fan))
+    # two closed 12-edge polygons side by side
+    first = [((1, k), (1,)) for k in range(11)] + [((-11, -55), (11,))]
+    second = [((k, 1), (1,)) for k in range(2, 13)] + [((-77, -11), (11,))]
+    S = validate(first + second)
+    assert len(S) == 24 and not is_irreducible(S)
 
 
 def test_fan_presentation_tom():

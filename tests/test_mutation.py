@@ -5,6 +5,8 @@ import pytest
 from logmut import (
     MutationIndex,
     an_datum,
+    component_types,
+    fan_presentation,
     jerry_datum,
     legal_mutations,
     mutate,
@@ -132,6 +134,16 @@ def test_rank_one_is_not_mutable():
         mutate(S, 1, 1)
     with pytest.raises(NotRankTwo):
         legal_mutations(S)
+
+
+def test_one_rank_two_check_with_one_message():
+    S = validate([((2, 0), (1, 1)), ((-2, 0), (1, 1))])
+    messages = set()
+    for call in (fan_presentation, component_types, legal_mutations, lambda S: mutate(S, 9, 9)):
+        with pytest.raises(NotRankTwo) as info:
+            call(S)
+        messages.add(str(info.value))
+    assert messages == {"rank-two data need more than two edges; got 2"}
 
 
 def test_legal_mutations_one_per_distinct_value():
