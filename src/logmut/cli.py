@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from .decider import Verdict, canonicalize, enumerate_zero_mutable, is_zero_mutable
+from .decider import canonicalize, enumerate_zero_mutable, is_zero_mutable
 from .errors import IllegalMutation, InvalidDatum, LogMutError, TooFewEdges
 from .lattice import sort_ccw
 from .logdatum import (
@@ -109,10 +109,6 @@ def cmd_mutate(args) -> int:
     return 0
 
 
-def _verdict_exit(verdict: Verdict) -> int:
-    return {"yes": 0, "no": 4, "unknown": 5}[verdict.kind]
-
-
 def _limits(args) -> dict:
     for flag, value in (
         ("--max-depth", args.max_depth),
@@ -163,7 +159,7 @@ def cmd_decide(args) -> int:
                 f"Unknown: search limits reached (explored {verdict.explored} "
                 f"classes, depth {verdict.depth})"
             )
-    return _verdict_exit(verdict)
+    return {"yes": 0, "no": 4, "unknown": 5}[verdict.kind]
 
 
 def cmd_enumerate(args) -> int:

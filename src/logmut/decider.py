@@ -16,6 +16,7 @@ of mutations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, product
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import IllegalMutation, InvalidDatum, NotRankTwo
@@ -221,7 +222,6 @@ def is_zero_mutable(
         if depth >= max_depth:
             return Verdict.unknown(len(visited), depth)
         depth += 1
-        expansions = map(_expand_state, frontier, backs)  # lazily
 
         # Selection among same-layer successes: the first one whose
         # terminal is its own canonical representative, else the first
@@ -229,23 +229,21 @@ def is_zero_mutable(
         # expansion order.  Once any success is in hand the remaining
         # children no longer need dedup (the search returns either way),
         # and a canonical hit ends the layer outright.
-        first_success = None
-        canonical_success = None
-        ids = range(len(parent_of) - len(frontier), len(parent_of))
+        success = None
+        first = len(parent_of) - len(frontier)  # index of frontier[0]
         next_frontier: list[tuple] = []
         next_backs: list[Optional[tuple]] = []
-        for node, children in zip(ids, expansions):
-            for edge, part, child, back in children:
+        for node, state, parent_back in zip(count(first), frontier, backs):
+            for edge, part, child, back in _expand_state(state, parent_back):
                 if len(child) == 8 and child[1] == child[5]:  # success
-                    if first_success is None:
-                        first_success = (node, edge, part, child)
                     # The key of a rank-one (l*u, nu), (-l*u, nu) is
                     # (l, 0, nu, -l, 0, nu): the child is its own
                     # canonical representative exactly when u = (1, 0).
+                    if success is None or child[3] == 0:
+                        success = (node, edge, part, child)
                     if child[3] == 0:
-                        canonical_success = (node, edge, part, child)
                         break
-                elif first_success is None:
+                elif success is None:
                     explored = len(visited)
                     visited.add(_canonical_key(child))
                     if len(visited) == explored:
@@ -258,11 +256,12 @@ def is_zero_mutable(
                         parent_of.append(node)
                         edge_of.append(edge)
                         part_of.append(part)
-            if canonical_success is not None:
-                break
+            else:
+                continue
+            break  # the canonical success
 
-        if first_success is not None:
-            node, edge, part, final_state = canonical_success or first_success
+        if success is not None:
+            node, edge, part, final_state = success
             steps = [CertStep(edge, part)]
             while node:
                 steps.append(CertStep(edge_of[node], part_of[node]))
@@ -324,14 +323,12 @@ def enumerate_zero_mutable(
     order per edge, edges taken in counterclockwise order; returns
     (assignment, verdict) pairs.
     """
-    import itertools
-
     edge_vectors = [lattice_vector(e) for e in edge_vectors]
     trial = validate([(e, (primitive_split(e)[0],)) for e in edge_vectors])
     vectors = [edge.e for edge in trial.edges]
     lengths = trial.lengths
     results = []
-    for assignment in itertools.product(*(partitions_of(l) for l in lengths)):
+    for assignment in product(*(partitions_of(l) for l in lengths)):
         S = validate(list(zip(vectors, assignment)))
         verdict = is_zero_mutable(S, max_depth=max_depth, max_states=max_states)
         results.append((assignment, verdict))

@@ -24,10 +24,6 @@ def vadd(a: Vec, b: Vec) -> Vec:
     return (a[0] + b[0], a[1] + b[1])
 
 
-def vscale(c: int, a: Vec) -> Vec:
-    return (c * a[0], c * a[1])
-
-
 def primitive_split(e: Vec) -> tuple[int, Vec]:
     """Write e = length * direction with direction primitive and length = gcd.
 

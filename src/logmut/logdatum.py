@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     ClosureViolation,
@@ -55,16 +55,9 @@ class LogDatum:
     def __len__(self) -> int:
         return len(self.edges)
 
-    def __iter__(self) -> Iterator[Edge]:
-        return iter(self.edges)
-
     @property
     def total_length(self) -> int:
         return sum(self.lengths)
-
-    def serialize(self) -> tuple:
-        """Nested-tuple encoding; deterministic by the stored CCW order."""
-        return tuple((edge.e, edge.nu) for edge in self.edges)
 
 
 class Rank(Enum):
@@ -192,7 +185,7 @@ def dual_polygon(S: LogDatum) -> list[Vec]:
     return [(y, -x) for x, y in polygon(S)]
 
 
-_AN_RE = re.compile(r"^An\((\d+)\)$")
+_AN_RE = re.compile(r"An\(([0-9]+)\)")
 
 
 def an_datum(n: int) -> LogDatum:
@@ -222,7 +215,7 @@ def named(name: str) -> LogDatum:
         return tom_datum()
     if name == "Jerry":
         return jerry_datum()
-    m = _AN_RE.match(name)
+    m = _AN_RE.fullmatch(name)
     if m:
         return an_datum(int(m.group(1)))
     raise KeyError(f"unknown datum name {name!r}; expected Tom, Jerry, or An(n)")

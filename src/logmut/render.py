@@ -32,7 +32,7 @@ def render_svg(S: LogDatum, spec: RenderSpec = RenderSpec()) -> str:
     min_x, max_x = min(xs) - _MARGIN, max(xs) + _MARGIN
     min_y, max_y = min(ys) - _MARGIN, max(ys) + _MARGIN
 
-    def px(pt: tuple[int, int]) -> tuple[float, float]:
+    def px(pt: tuple[float, float]) -> tuple[float, float]:
         return ((pt[0] - min_x) * spec.scale, (max_y - pt[1]) * spec.scale)
 
     width = (max_x - min_x) * spec.scale
@@ -91,9 +91,7 @@ def render_svg(S: LogDatum, spec: RenderSpec = RenderSpec()) -> str:
         )
         for i, edge in enumerate(S.edges):
             start = verts[i]
-            mid = (start[0] + edge.e[0] / 2, start[1] + edge.e[1] / 2)
-            cx = (mid[0] - min_x) * spec.scale
-            cy = (max_y - mid[1]) * spec.scale
+            cx, cy = px((start[0] + edge.e[0] / 2, start[1] + edge.e[1] / 2))
             text = ET.SubElement(
                 labels,
                 "text",

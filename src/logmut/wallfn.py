@@ -84,9 +84,9 @@ class BiPoly:
 
 # --- text and JSON formats ---------------------------------------------------
 
-_RATIONAL = r"-?\d+(?:/\d+)?"
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
 _RATIONAL_RE = re.compile(_RATIONAL)
-_FACTOR_RE = re.compile(rf"^(?:({_RATIONAL})|([xzu])(?:\^(\d+))?)$")
+_FACTOR_RE = re.compile(rf"({_RATIONAL})|([xzu])(?:\^([0-9]+))?")
 
 
 def _rational(text: str) -> Fraction:
@@ -106,7 +106,7 @@ def parse_bipoly(text: str) -> BiPoly:
     if not compact:
         raise ValueError("empty polynomial text")
     terms: dict[tuple[int, int], Fraction] = {}
-    for token in re.findall(r"[+-]?[^+-]+", compact):
+    for token in re.split(r"(?!^)(?=[+-])", compact):  # before every non-leading sign
         sign = Fraction(1)
         body = token
         if body[0] in "+-":
@@ -117,7 +117,7 @@ def parse_bipoly(text: str) -> BiPoly:
             raise ValueError(f"dangling sign in {text!r}")
         coef, dx, du = sign, 0, 0
         for factor in body.split("*"):
-            m = _FACTOR_RE.match(factor)
+            m = _FACTOR_RE.fullmatch(factor)
             if not m:
                 raise ValueError(f"cannot parse term factor {factor!r} in {text!r}")
             num, var, exp = m.groups()
@@ -350,11 +350,6 @@ def kinks(S: LogDatum) -> tuple[int, ...]:
     return S.lengths
 
 
-def _draw_gamma(rng: random.Random) -> Fraction:
-    c = Fraction(rng.randint(1, 9), rng.randint(1, 3)) * rng.choice((1, -1))
-    return c
-
-
 def generic_wall_assignment(S: LogDatum, seed: int) -> WallAssignment:
     """Synthesize an assignment passing is_subordinate and is_generic,
     deterministically per seed.
@@ -407,7 +402,7 @@ def _synthesize_wall(edge, rng: random.Random, smooth: dict[BiPoly, bool]):
         count = nu.count(v)
         gammas: list[Fraction] = []
         while len(gammas) < count:
-            g = _draw_gamma(rng)
+            g = Fraction(rng.randint(1, 9), rng.randint(1, 3)) * rng.choice((1, -1))
             if g not in gammas:
                 gammas.append(g)
         group = [

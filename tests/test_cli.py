@@ -85,8 +85,9 @@ def test_validate_rejects_ill_shaped_documents(capsys, monkeypatch):
 
 
 def test_validate_rejects_unknown_name_and_bad_json(capsys, tmp_path):
-    code, _, err = run(capsys, "validate", "Spike")
-    assert code == 1 and "neither a file nor a named datum" in err
+    for name in ("Spike", "An(3)\n", "An(\u0663)"):
+        code, _, err = run(capsys, "validate", name)
+        assert code == 1 and "neither a file nor a named datum" in err
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     code, _, err = run(capsys, "validate", str(path))
@@ -126,6 +127,15 @@ def test_mutate_trace_lines(capsys):
     code, out, _ = run(capsys, "mutate", "An(0)", "--edge", "2", "--trace")
     assert code == 0
     assert "# (2b) edge 2 removed" in out
+    argv = ["mutate", "Tom", "--edge", "1", "--part-value", "2", "--trace"]
+    _, text, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    lines = [line[2:] for line in text.splitlines() if line.startswith("# ")]
+    assert json.loads(out)["trace"] == lines == [
+        "(1) edge 2 sheared: (0, 2) -> (2, 2)",
+        "(2a) edge 1 shrinks to (1, 0), partition loses one part 2",
+    ]
 
 
 def test_mutate_illegal_exits_3(capsys, tmp_path):

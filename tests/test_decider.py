@@ -76,7 +76,7 @@ def test_canonical_rep_is_idempotent_member_of_class():
         rep = canonical_rep(S)
         assert canonical_tuple(rep) == canonical_tuple(S)
         assert canonical_rep(rep) == rep
-        assert rep.serialize() == canonical_tuple(S)
+        assert rep.edges == canonical_tuple(S)
 
 
 def test_canonical_of_empty_and_rank_one():
@@ -184,6 +184,7 @@ def test_replay_and_verify():
     with pytest.raises(IllegalMutation) as err:
         replay(S, bad)
     assert "step 4" in str(err.value)
+    assert not verify_certificate(S, bad)
     assert not verify_certificate(S, Certificate(cert.steps, an_datum(0)))
 
 

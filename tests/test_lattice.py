@@ -11,7 +11,6 @@ from logmut.lattice import (
     sort_ccw,
     to_east,
     vadd,
-    vscale,
 )
 
 from oracles import ccw_key
@@ -23,7 +22,7 @@ def test_sform_orientation_and_bilinearity():
     assert sform((2, 3), (2, 3)) == 0
     a, b, c = (3, -1), (2, 5), (-4, 7)
     assert sform(vadd(a, b), c) == sform(a, c) + sform(b, c)
-    assert sform(vscale(4, a), b) == 4 * sform(a, b)
+    assert sform((4 * a[0], 4 * a[1]), b) == 4 * sform(a, b)
 
 
 def test_primitive_split():
@@ -86,7 +85,7 @@ def test_sort_ccw_matches_the_reference_key():
 
 def test_ccw_key_scale_invariant():
     for v in [(2, 3), (-1, 4), (0, 2), (5, 0), (-3, 0), (0, -7), (-2, -2)]:
-        assert ccw_key(v) == ccw_key(vscale(3, v))
+        assert ccw_key(v) == ccw_key((3 * v[0], 3 * v[1]))
     # and only positive multiples share a key
     rng = random.Random(11)
     vectors = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(60)]

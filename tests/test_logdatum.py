@@ -43,7 +43,7 @@ from conftest import random_datum
 
 def test_validate_sorts_counterclockwise_and_normalizes_partitions():
     S = validate([((3, -3), (1, 2)), ((-2, 0), (2,)), ((2, 1), (1,)), ((-3, 2), (1,))])
-    assert S.serialize() == (
+    assert S.edges == (
         ((2, 1), (1,)),
         ((-3, 2), (1,)),
         ((-2, 0), (2,)),
@@ -72,7 +72,7 @@ def test_validate_rejections():
 
 def _outcome(fn, raw):
     try:
-        return fn(raw).serialize()
+        return fn(raw).edges
     except InvalidDatum as exc:
         return type(exc), str(exc)
 
@@ -109,11 +109,11 @@ def test_validate_matches_the_reference_on_shuffled_and_corrupted_input():
     raised = set()
     for _ in range(600):
         S = random_datum(rng, max_edges=6, coord_bound=rng.choice((2, 20)))
-        raw = list(S.serialize())
+        raw = list(S.edges)
         rng.shuffle(raw)
         T = validate(raw)
         assert T == S and hash(T) == hash(S)
-        assert T.serialize() == _outcome(oracles.validate_reference, raw)
+        assert T.edges == _outcome(oracles.validate_reference, raw)
         dirs = T.directions
         for i in range(len(dirs)):
             for j in range(len(dirs)):
@@ -179,14 +179,15 @@ def test_named_data():
     assert named("Tom") == tom_datum()
     assert named("Jerry") == jerry_datum()
     assert named("An(3)") == an_datum(3)
-    with pytest.raises(KeyError):
-        named("Spike")
+    for name in ("Spike", "An(3)\n", "An(\u0663)", " An(3)"):
+        with pytest.raises(KeyError):
+            named(name)
 
 
 def test_an_datum_shape():
     for n in range(5):
         S = an_datum(n)
-        assert S.serialize() == (
+        assert S.edges == (
             ((1, 0), (1,)),
             ((0, n + 1), tuple([1] * (n + 1))),
             ((-1, -n - 1), (1,)),
@@ -294,8 +295,9 @@ def test_datum_from_obj_rejects_garbage():
     ):
         with pytest.raises(InvalidDatum):
             datum_from_obj(obj)
-    with pytest.raises(KeyError):
-        datum_from_obj({"name": "Spike"})
+    for name in ("Spike", "An(3)\n"):
+        with pytest.raises(KeyError):
+            datum_from_obj({"name": name})
 
 
 def test_inexact_input_is_rejected_not_coerced():

@@ -64,7 +64,7 @@ def test_mutate_by_value_matches_index():
 def test_multi_part_edge_shrinks():
     tom = tom_datum()
     T = mutate(tom, 1, 1)  # part value 2 of nu=(2,1)
-    assert T.serialize() == (
+    assert T.edges == (
         ((1, 0), (1,)),
         ((2, 2), (1, 1)),
         ((-3, -2), (1,)),
@@ -76,7 +76,7 @@ def test_opposite_edge_present_no_growth():
     S = validate([((1, 0), (1,)), ((0, 2), (1, 1)), ((-1, 0), (1,)), ((0, -2), (2,))])
     assert u_height(S, (0, 1)) == 1
     T = mutate(S, 2, 2)  # removes a part of value 1; only edge 3 shears
-    assert T.serialize() == (
+    assert T.edges == (
         ((1, 0), (1,)),
         ((0, 1), (1,)),
         ((-1, 1), (1,)),
@@ -88,7 +88,7 @@ def test_opposite_edge_gains_part():
     S = validate([((2, 0), (1, 1)), ((0, 1), (1,)), ((-2, 0), (2,)), ((0, -1), (1,))])
     assert u_height(S, (0, 1)) == 2  # {(0,1),(-2,0)}_+ alone
     T = mutate(S, 2, 1)  # single part 1, edge removed; opposite grows by d=1
-    assert T.serialize() == (
+    assert T.edges == (
         ((2, 0), (1, 1)),
         ((-2, 2), (2,)),
         ((0, -2), (1, 1)),

@@ -52,7 +52,7 @@ def test_mutation_results_are_valid_data():
     for _ in range(CASES):
         S, j, k = mutable_case(rng)
         T = mutate(S, j, k)
-        assert validate(list(T.serialize())) == T  # closed, CCW, normalized
+        assert validate(list(T.edges)) == T  # closed, CCW, normalized
 
 
 def test_mutation_preserves_height_along_its_direction():
@@ -120,7 +120,7 @@ def test_kernel_mutate_matches_the_literal_rules():
                     sheared = [
                         f"(1) edge {i} sheared: {e} -> "
                         f"{(e[0] + sform(u, e) * u[0], e[1] + sform(u, e) * u[1])}"
-                        for i, (e, _) in enumerate(S.serialize(), start=1)
+                        for i, (e, _) in enumerate(S.edges, start=1)
                         if sform(u, e) > 0
                     ]
                     assert [l for l in trace if l.startswith("(1)")] == sheared

@@ -99,7 +99,12 @@ def test_parse_rejects_garbage():
     for bad in ("", "u^", "u**2", "y + 1", "3x", "u + 1/0*x", "u - 2/00"):
         with pytest.raises(ValueError):
             parse_bipoly(bad)
-    for coefficient in ("1/0", "1.5", "1e999999999", "", " 1", "1/-2"):
+    # A sign with no term after it, a trailing newline, a non-ASCII digit.
+    for bad in ("u--x", "u+", "u-", "+", "-", "--u", "u+-x", "u++x",
+                "u + x\n", "u^\u0663", "\u0663*u"):
+        with pytest.raises(ValueError):
+            parse_bipoly(bad)
+    for coefficient in ("1/0", "1.5", "1e999999999", "", " 1", "1/-2", "\u0663"):
         with pytest.raises(ValueError):
             bipoly_from_obj([[0, 1, coefficient]])
 
