@@ -8,8 +8,10 @@ existing file path is read as JSON; otherwise it must be a named datum
 
 Exit codes:
   0  success (decide: verdict Yes)
-  1  I/O or parse error (bad JSON, unknown name, bad polynomial text)
-  2  invalid datum or edge list, ill-shaped wall assignment, negative search limit
+  1  I/O or parse error (bad JSON, unknown name, bad polynomial text, an
+     integer option other than ASCII digits with an optional leading minus)
+  2  invalid datum or edge list (An(n) with n > 10**6 too), ill-shaped wall
+     assignment, negative search limit
   3  illegal mutation (mutate on rank-one data exits 2: not rank two)
   4  decide: verdict No
   5  decide: verdict Unknown
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .decider import canonicalize, enumerate_zero_mutable, is_zero_mutable
@@ -307,6 +310,15 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """The argparse type of every integer option: ASCII digits with an
+    optional leading minus, nothing else (no spaces, underscores or other
+    scripts' digits, which int() would take)."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid integer: {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logmut",
@@ -326,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     def add_limits(p):
-        p.add_argument("--max-depth", type=int, default=32, metavar="N")
-        p.add_argument("--max-states", type=int, default=10**6, metavar="N")
+        p.add_argument("--max-depth", type=_integer, default=32, metavar="N")
+        p.add_argument("--max-states", type=_integer, default=10**6, metavar="N")
 
     p = sub.add_parser("validate", help="check and normalize a datum")
     add_common(p)
@@ -335,12 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mutate", help="apply one mutation")
     add_common(p)
-    p.add_argument("--edge", type=int, required=True, metavar="J",
+    p.add_argument("--edge", type=_integer, required=True, metavar="J",
                    help="1-based counterclockwise edge index")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--part", type=int, default=1, metavar="K",
+    group.add_argument("--part", type=_integer, default=1, metavar="K",
                        help="1-based index into the edge's partition (default 1)")
-    group.add_argument("--part-value", type=int, metavar="V",
+    group.add_argument("--part-value", type=_integer, metavar="V",
                        help="select the first part with this value instead")
     p.add_argument("--trace", action="store_true",
                    help="print which branch each edge followed")
@@ -368,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--svg", required=True, metavar="PATH",
                    help="output file, '-' for stdout")
-    p.add_argument("--scale", type=int, default=40, metavar="N",
+    p.add_argument("--scale", type=_integer, default=40, metavar="N",
                    help="pixels per lattice unit (default 40)")
     p.add_argument("--labels", action="store_true", help="label each edge")
     p.add_argument("--lattice-points", action="store_true",
@@ -383,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     wall_group = p.add_mutually_exclusive_group()
     wall_group.add_argument("--walls", metavar="FILE",
                             help="wall-assignment JSON to check")
-    wall_group.add_argument("--gen-walls", type=int, metavar="SEED",
+    wall_group.add_argument("--gen-walls", type=_integer, metavar="SEED",
                             help="synthesize a generic assignment")
     p.set_defaults(func=cmd_report)
 

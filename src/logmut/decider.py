@@ -201,6 +201,10 @@ def is_zero_mutable(
     equal to the canonical representative of its class, then discovery
     order.  Parents are expanded one at a time, so the first canonical
     success ends the layer and the parents after it are never expanded.
+    On No and Unknown, `explored` counts the classes visited when the
+    verdict is reached: in the layer at max_depth without a success, the
+    first new class with three or more edges settles Unknown, so that layer
+    is not visited in full.
 
     Only the frontier keeps its states; every class on it keeps just its
     parent's index and the move that reached it, which is all a
@@ -222,6 +226,17 @@ def is_zero_mutable(
         if depth >= max_depth:
             return Verdict.unknown(len(visited), depth)
         depth += 1
+        # At max_depth the classes this layer stores are never expanded.
+        # A mutation removes at most one edge, so a success comes only from
+        # a three-edge parent.  Without one, the first new rank-two class
+        # settles Unknown and an exhausted layer settles No: the verdicts
+        # that storing the whole layer gives.
+        last = depth == max_depth and not any(
+            len(child) == 8 and child[1] == child[5]
+            for state, back in zip(frontier, backs)
+            if len(state) == 12
+            for _, _, child, _ in _expand_state(state, back)
+        )
 
         # Selection among same-layer successes: the first one whose
         # terminal is its own canonical representative, else the first
@@ -251,6 +266,8 @@ def is_zero_mutable(
                     if explored >= max_states:
                         return Verdict.unknown(explored, depth)
                     if len(child) > 8:
+                        if last:
+                            return Verdict.unknown(len(visited), depth)
                         next_frontier.append(child)
                         next_backs.append(back)
                         parent_of.append(node)

@@ -186,12 +186,18 @@ def dual_polygon(S: LogDatum) -> list[Vec]:
 
 
 _AN_RE = re.compile(r"An\(([0-9]+)\)")
+AN_MAX = 10**6  # the largest n of An(n): its middle edge holds n + 1 parts
 
 
 def an_datum(n: int) -> LogDatum:
-    """The A_n datum: {((1,0),(1)), ((0,n+1),(1,...,1)), ((-1,-n-1),(1))}."""
+    """The A_n datum: {((1,0),(1)), ((0,n+1),(1,...,1)), ((-1,-n-1),(1))}.
+
+    n is capped at AN_MAX; a larger n raises InvalidDatum, as the partition
+    it asks for is too long to build."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if n > AN_MAX:
+        raise InvalidDatum(f"An(n) takes n <= {AN_MAX}")
     return validate(
         [
             ((1, 0), (1,)),
@@ -217,7 +223,12 @@ def named(name: str) -> LogDatum:
         return jerry_datum()
     m = _AN_RE.fullmatch(name)
     if m:
-        return an_datum(int(m.group(1)))
+        # An n with more digits than AN_MAX is over the cap, which
+        # an_datum reports; int() would refuse one over 4,300 digits.
+        digits = m.group(1).lstrip("0")
+        if len(digits) > len(str(AN_MAX)):
+            return an_datum(AN_MAX + 1)
+        return an_datum(int(digits or "0"))
     raise KeyError(f"unknown datum name {name!r}; expected Tom, Jerry, or An(n)")
 
 

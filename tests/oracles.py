@@ -9,7 +9,9 @@ their own Bezout pairs and shears on every base edge instead of pruned bases,
 iterative deepening over those keys and these mutation rules instead of
 breadth-first search, subset enumeration by sizes instead of partial sums,
 numeric sampling with its own derivatives next to Groebner bases, and the
-wall checks on sympy expressions instead of sympy's polynomial rings.
+wall checks on sympy expressions instead of sympy's polynomial rings.  One
+reference shares the package's kernel on purpose: full_layer_search checks
+only where the decider stops.
 """
 from __future__ import annotations
 
@@ -22,13 +24,18 @@ import sympy
 
 from logmut import (
     BiPoly,
+    CertStep,
+    Certificate,
     Edge,
     LogDatum,
+    Verdict,
     WallAssignment,
+    replay,
     sform,
     Vec,
     primitive_split,
 )
+from logmut.decider import _canonical_key
 from logmut.errors import (
     ClosureViolation,
     DuplicateDirection,
@@ -38,6 +45,7 @@ from logmut.errors import (
     ZeroVector,
 )
 from logmut.logdatum import lattice_vector, normalize_partition
+from logmut.mutation import _expand_state, _state
 
 
 def ccw_key(v: Vec) -> tuple:
@@ -262,6 +270,55 @@ def iddfs_zero_mutable(
         if not hit_cutoff:
             return ("no", None)
     return ("unknown", None)
+
+
+def full_layer_search(S: LogDatum, *, max_depth: int, max_states: int) -> Verdict:
+    """is_zero_mutable as a plain breadth-first search that stores every
+    layer in full, the last one included, and reads Unknown at max_depth
+    only once that layer is stored.
+
+    Unlike the other references here, it runs the package's own kernel and
+    keys (_expand_state, _canonical_key) and the package's tie-break (the
+    first success whose terminal is horizontal, else the first success):
+    it checks the decider's stopping rule, not its mutations.  Each
+    frontier entry carries its whole path instead of a parent index.
+    """
+    if len(S) == 2 and S.edges[0].nu == S.edges[1].nu:
+        return Verdict.yes(Certificate((), S), explored=1)
+    visited = {_canonical_key(_state(S))}
+    frontier = [(_state(S), None, ())]
+    depth = 0
+    while frontier:
+        if depth >= max_depth:
+            return Verdict.unknown(len(visited), depth)
+        depth += 1
+        success = None
+        layer = []
+        for state, back, path in frontier:
+            for edge, part, child, child_back in _expand_state(state, back):
+                steps = path + (CertStep(edge, part),)
+                if len(child) == 8 and child[1] == child[5]:
+                    if success is None or child[3] == 0:
+                        success = steps
+                    if child[3] == 0:
+                        break
+                elif success is None:
+                    key = _canonical_key(child)
+                    if key in visited:
+                        continue
+                    if len(visited) >= max_states:
+                        return Verdict.unknown(len(visited), depth)
+                    visited.add(key)
+                    if len(child) > 8:
+                        layer.append((child, child_back, steps))
+            else:
+                continue
+            break
+        if success is not None:
+            terminal = replay(S, Certificate(success, S))
+            return Verdict.yes(Certificate(success, terminal), len(visited))
+        frontier = layer
+    return Verdict.no(len(visited), depth)
 
 
 def irreducible_oracle(S: LogDatum) -> bool:

@@ -94,6 +94,16 @@ def test_validate_rejects_unknown_name_and_bad_json(capsys, tmp_path):
     assert code == 1
 
 
+def test_validate_caps_an(capsys):
+    code, out, _ = run(capsys, "validate", "An(1000000)", "--json")
+    assert code == 0 and json.loads(out)["total_length"] == 10**6 + 3
+    for name in ("An(1000001)", "An(100000000000000000000)", f"An({'9' * 5000})"):
+        code, out, err = run(capsys, "validate", name)
+        assert (code, out, err) == (2, "", "error: An(n) takes n <= 1000000\n")
+    code, out, _ = run(capsys, "validate", "An(0000000000003)", "--json")
+    assert code == 0 and json.loads(out)["total_length"] == 6
+
+
 def test_rankless_datum_label(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"edges": []}))
@@ -157,6 +167,19 @@ def test_mutate_rank_one_exits_2_before_any_index_check(capsys, tmp_path):
         assert code == 2 and out == "" and "rank-two" in err, extra
 
 
+def test_mutate_integer_options_take_ascii_digits_only(capsys):
+    for extra in (
+        ["--edge", "\u0661"],
+        ["--edge", "1", "--part", "1_0"],
+        ["--edge", " 1"],
+        ["--edge", "1", "--part-value", "2 "],
+        ["--edge", "+1"],
+    ):
+        code, out, err = run(capsys, "mutate", "Tom", *extra)
+        assert (code, out) == (1, ""), extra
+        assert "invalid integer" in err, extra
+
+
 # --- decide ---------------------------------------------------------------------
 
 
@@ -193,6 +216,21 @@ def test_negative_limits_exit_2(capsys):
             assert err == f"error: {flag} must be non-negative, got {value}\n"
     code, out, _ = run(capsys, "decide", "An(0)", "--max-depth", "0", "--max-states", "0")
     assert code == 5 and out.startswith("Unknown: search limits reached")  # zero is a limit
+
+
+def test_decide_integer_options_take_ascii_digits_only(capsys):
+    for flag, value in (
+        ("--max-depth", " \u0663"),
+        ("--max-depth", "\u0663"),
+        ("--max-states", "1_000"),
+        ("--max-depth", "3\n"),
+        ("--max-depth", "3.0"),
+    ):
+        code, out, err = run(capsys, "decide", "Jerry", flag, value, "--json")
+        assert (code, out) == (1, ""), (flag, value)
+        assert f"argument {flag}: invalid integer" in err, (flag, value)
+    code, out, _ = run(capsys, "decide", "Jerry", "--max-depth", "3", "--json")
+    assert code == 5 and json.loads(out)["depth"] == 3
 
 
 def test_decide_human_output_lists_steps(capsys):

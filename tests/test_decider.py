@@ -26,8 +26,8 @@ from logmut import (
     verify_certificate,
 )
 from logmut.errors import ClosureViolation, IllegalMutation, InvalidDatum
-from conftest import _box_edge_sets, random_unimodular
-from oracles import _candidates
+from conftest import _box_edge_sets, random_datum, random_unimodular
+from oracles import _candidates, full_layer_search
 
 
 def test_canonical_tuple_matches_reference_candidates():
@@ -164,6 +164,50 @@ def test_an_search_visits_the_pinned_class_counts():
         v = is_zero_mutable(an_datum(n))
         assert v.is_yes
         assert (v.explored, v.depth) == (count, n + 1)
+
+
+def test_last_layer_stop_matches_the_full_layer_search():
+    """At max_depth the search stops at the first new rank-two class
+    (Unknown) unless a three-edge parent has a success child.  Against a
+    search that stores the last layer in full, verdict, depth, certificate
+    and terminal agree; explored agrees on Yes and No and can only shrink
+    on Unknown.  The grid reaches max_states in the last layer too."""
+    rng = random.Random(1212)
+    data = [random_datum(rng, max_edges=6) for _ in range(200)]
+    data += [tom_datum(), jerry_datum(), an_datum(3)]
+    limits = [(d, s) for d in (0, 1, 2, 3, 4) for s in (5, 40, 10**6)]
+    limits.append((6, 200))
+    seen = set()
+    for S in data:
+        for max_depth, max_states in limits:
+            v = is_zero_mutable(S, max_depth=max_depth, max_states=max_states)
+            ref = full_layer_search(S, max_depth=max_depth, max_states=max_states)
+            case = (S, max_depth, max_states)
+            assert (v.kind, v.depth, v.certificate) == (
+                ref.kind, ref.depth, ref.certificate
+            ), case
+            if v.is_unknown:
+                assert v.explored <= ref.explored, case
+            else:
+                assert v.explored == ref.explored, case
+            states_in_last_layer = (
+                ref.is_unknown
+                and ref.depth == max_depth > 0
+                and ref.explored == max_states
+            )
+            seen.add((v.kind, v.explored < ref.explored, states_in_last_layer))
+    assert {("yes", False, False), ("no", False, False)} <= seen
+    assert {("unknown", True, False), ("unknown", True, True)} <= seen
+
+
+def test_last_layer_stop_pins():
+    v = is_zero_mutable(jerry_datum(), max_depth=3)
+    assert (v.kind, v.explored, v.depth) == ("unknown", 11, 3)
+    results = enumerate_zero_mutable([(3, 0), (0, 2), (-3, -2)], max_depth=4)
+    assert [str(v) for _, v in results] == [
+        "Unknown", "Unknown", "Unknown", "Yes", "Yes", "Unknown"
+    ]
+    assert [v.explored for _, v in results] == [12, 18, 24, 15, 24, 33]
 
 
 def test_unknown_on_depth_limit():

@@ -36,6 +36,7 @@ from logmut.errors import (
     ZeroVector,
 )
 from logmut.lattice import primitive_split
+from logmut.logdatum import AN_MAX
 
 import oracles
 from conftest import random_datum
@@ -182,6 +183,19 @@ def test_named_data():
     for name in ("Spike", "An(3)\n", "An(\u0663)", " An(3)"):
         with pytest.raises(KeyError):
             named(name)
+
+
+def test_an_datum_is_capped():
+    S = an_datum(AN_MAX)
+    assert AN_MAX == 10**6
+    assert S.edges[1] == ((0, AN_MAX + 1), (1,) * (AN_MAX + 1))
+    for n in (AN_MAX + 1, 10**20):
+        with pytest.raises(InvalidDatum, match=f"n <= {AN_MAX}"):
+            an_datum(n)
+    with pytest.raises(InvalidDatum, match=f"n <= {AN_MAX}"):
+        named("An(100000000000000000000)")
+    with pytest.raises(InvalidDatum, match=f"n <= {AN_MAX}"):
+        datum_from_obj({"name": f"An({AN_MAX + 1})"})
 
 
 def test_an_datum_shape():
