@@ -9,7 +9,9 @@ existing file path is read as JSON; otherwise it must be a named datum
 Exit codes:
   0  success (decide: verdict Yes)
   1  I/O or parse error (bad JSON, unknown name, bad polynomial text, an
-     integer option other than ASCII digits with an optional leading minus)
+     integer option other than ASCII digits with an optional leading minus),
+     render --scale below 1, render --lattice-points over a bounding box of
+     more than 10**5 lattice points
   2  invalid datum or edge list (An(n) with n > 10**6 too), ill-shaped wall
      assignment, negative search limit
   3  illegal mutation (mutate on rank-one data exits 2: not rank two)
@@ -384,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pixels per lattice unit (default 40)")
     p.add_argument("--labels", action="store_true", help="label each edge")
     p.add_argument("--lattice-points", action="store_true",
-                   help="draw lattice points in the bounding box")
+                   help="draw lattice points in the bounding box "
+                        "(at most 10**5 of them)")
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser(

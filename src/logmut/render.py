@@ -12,6 +12,10 @@ from dataclasses import dataclass
 from .logdatum import LogDatum, polygon
 
 _MARGIN = 1  # lattice units of padding around the bounding box
+# The lattice-point grid draws one circle per point of the padded bounding
+# box, so its size grows with the box's area; 10**5 points make an SVG of
+# about 4 MB.
+MAX_LATTICE_POINTS = 10**5
 
 
 @dataclass(frozen=True)
@@ -31,6 +35,13 @@ def render_svg(S: LogDatum, spec: RenderSpec = RenderSpec()) -> str:
     ys = [v[1] for v in verts]
     min_x, max_x = min(xs) - _MARGIN, max(xs) + _MARGIN
     min_y, max_y = min(ys) - _MARGIN, max(ys) + _MARGIN
+    if spec.show_lattice_points:
+        count = (max_x - min_x + 1) * (max_y - min_y + 1)
+        if count > MAX_LATTICE_POINTS:
+            raise ValueError(
+                f"the bounding box holds {count} lattice points; "
+                f"at most {MAX_LATTICE_POINTS} can be drawn"
+            )
 
     def px(pt: tuple[float, float]) -> tuple[float, float]:
         return ((pt[0] - min_x) * spec.scale, (max_y - pt[1]) * spec.scale)

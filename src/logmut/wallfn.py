@@ -248,10 +248,12 @@ def is_smooth_curve(f: BiPoly) -> bool:
     """
     p = _in_ux(f)
     # groebner() divides by its generators, so zeros are left out (f = 0
-    # leaves none, and the empty basis is not [1]).  df/dx, often a constant
-    # on wall factors, goes before df/du: small bases come out sooner.
+    # leaves none, and the empty basis is not [1]).  A nonzero constant
+    # generates all of Q[x, u] on its own, so its basis is [1] without
+    # computing one; df/dx of u^v + gamma*x is such a constant.  Otherwise
+    # df/dx goes before df/du: small bases come out sooner.
     gens = [g for g in (p, p.diff(1), p.diff(0)) if g]
-    return groebner(gens, _UX) == [_UX.one]
+    return any(g.is_ground for g in gens) or groebner(gens, _UX) == [_UX.one]
 
 
 def _in_ux(f: BiPoly):
@@ -264,6 +266,24 @@ def _from_ux(p) -> BiPoly:
     return BiPoly.from_terms(
         {(dx, du): Fraction(c.numerator, c.denominator) for (du, dx), c in p.items()}
     )
+
+
+def _resultant_u(f, g):
+    """Res_u(f, g) of two _UX elements, with the len() and as_expr() of
+    f.resultant(g).
+
+    When d = g - f is free of u and m = deg_u f >= 1, reducing g by f leaves
+    d, so Res_u(f, g) = lc_u(f)^m * Res_u(f, d) = (lc_u(f) * d)^m
+    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 3 §6); this
+    covers every pair of equal part value the synthesizer draws.  Every other
+    pair goes to sympy's resultant.
+    """
+    d = g - f
+    m = f.degree(0)
+    if m >= 1 and d.degree(0) <= 0:
+        lc = _UX.from_dict({(0, dx): c for (du, dx), c in f.items() if du == m})
+        return (lc * d) ** m
+    return f.resultant(g)
 
 
 def _smooth(f: BiPoly, smooth: dict[BiPoly, bool]) -> bool:
@@ -312,7 +332,7 @@ def _wall_reports(
                         f"wall {i}: factors {a + 1} and {b + 1} are proportional"
                     )
                     continue
-                res = f.resultant(g)  # Res_u, an element of Q[x]
+                res = _resultant_u(f, g)  # an element of Q[x]
                 if len(res) != 1:  # zero, or more than one term
                     problems.append(
                         f"wall {i}: Res_u(factor {a + 1}, factor {b + 1}) = "

@@ -14,6 +14,7 @@ from logmut import (
     verify_certificate,
 )
 from logmut.cli import main
+from logmut.render import MAX_LATTICE_POINTS
 
 FIXED_POINT = {
     "edges": [
@@ -324,6 +325,26 @@ def test_render_to_stdout_and_file(capsys, tmp_path):
 def test_render_rejects_bad_scale(capsys):
     code, _, err = run(capsys, "render", "Tom", "--svg", "-", "--scale", "0")
     assert code == 1 and "scale" in err
+
+
+def _triangle_file(path, width: int, height: int) -> str:
+    """A triangle whose padded bounding box holds (width + 3) * (height + 3)
+    lattice points."""
+    edges = [((width, 0), width), ((0, height), height), ((-width, -height), gcd(width, height))]
+    path.write_text(json.dumps({"edges": [{"e": e, "nu": [n]} for e, n in edges]}))
+    return str(path)
+
+
+def test_render_caps_the_lattice_points(capsys, tmp_path):
+    at_cap = _triangle_file(tmp_path / "cap.json", 247, 397)  # 250 * 400 points
+    code, out, _ = run(capsys, "render", at_cap, "--svg", "-", "--lattice-points")
+    assert code == 0 and out.count("<circle") == MAX_LATTICE_POINTS + 3  # + vertices
+    over = _triangle_file(tmp_path / "over.json", 8, 9088)  # 11 * 9091 points
+    code, out, err = run(capsys, "render", over, "--svg", "-", "--lattice-points")
+    assert code == 1 and out == ""
+    assert "100001 lattice points" in err and "at most 100000" in err
+    code, out, _ = run(capsys, "render", over, "--svg", "-")  # no grid, no cap
+    assert code == 0 and out.count("<circle") == 3
 
 
 # --- report ---------------------------------------------------------------------

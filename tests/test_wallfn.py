@@ -383,8 +383,77 @@ def test_smoothness_and_resultants_match_the_expr_reference():
     pairs = [(f, g) for f in SPECIAL for g in SPECIAL[:6]]
     pairs += [tuple(rng.sample(polys, 2)) for _ in range(150)]
     for f, g in pairs:
-        res = wallfn._in_ux(f).resultant(wallfn._in_ux(g))  # Res_u on the ring
+        res = wallfn._resultant_u(wallfn._in_ux(f), wallfn._in_ux(g))
         assert str(res.as_expr()) == str(oracles.resultant_u(f, g)), (f, g)
+
+
+@pytest.fixture
+def bases(monkeypatch):
+    """The generator lists wallfn passes to groebner, one per call."""
+    calls = []
+    real = wallfn.groebner
+
+    def counting_groebner(gens, ring):
+        calls.append(gens)
+        return real(gens, ring)
+
+    monkeypatch.setattr(wallfn, "groebner", counting_groebner)
+    return calls
+
+
+def test_smoothness_edge_cases_match_the_expr_reference(bases):
+    """A nonzero constant among f, df/dx, df/du settles smoothness without a
+    Groebner basis; the zero polynomial and the cusp still compute one."""
+    cases = {"0": False, "3": True, "x": True, "u + x^2": True,
+             "u^3 + 2*x": True, "u^2 - x^3": False}
+    for text, smooth in cases.items():
+        bases.clear()
+        assert is_smooth_curve(P(text)) is smooth, text
+        assert oracles.is_smooth_curve(P(text)) is smooth, text
+        assert len(bases) == (text in ("0", "u^2 - x^3")), text
+
+
+def random_u_free_pairs(rng: random.Random):
+    """Triples (f, f + d, d) with d in Q[x]: u-degree m in 1..5 (odd m
+    included), a leading coefficient lc_u(f) in Q[x] that is rarely 1, and d
+    a nonzero constant, zero, or a polynomial with x-terms."""
+    def coefficient():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+
+    for _ in range(120):
+        m = rng.randint(1, 5)
+        f = {(rng.randint(0, 2), rng.randint(0, m - 1)): coefficient()
+             for _ in range(rng.randint(0, 3))}
+        f.update({(a, m): coefficient() for a in range(rng.randint(0, 2) + 1)})
+        d = rng.choice(({}, {(0, 0): coefficient()},
+                        {(a, 0): coefficient() for a in range(1, rng.randint(1, 3) + 1)}))
+        g = {k: f.get(k, 0) + d.get(k, 0) for k in f.keys() | d.keys()}
+        yield BiPoly.from_terms(f), BiPoly.from_terms(g), BiPoly.from_terms(d)
+
+
+def test_resultant_closed_form_matches_sympy():
+    """_resultant_u against sympy's resultant on expressions and on the ring:
+    u-free differences in both argument orders, and the fallbacks (unequal
+    u-degrees, a u-free f)."""
+    rng = random.Random(13)
+    pairs = []
+    shapes = {"lc_u not 1": 0, "odd m": 0, "constant d": 0, "d with x": 0}
+    for f, g, d in random_u_free_pairs(rng):
+        m = max(du for (_, du), _ in f.terms)
+        shapes["lc_u not 1"] += [t for t in f.terms if t[0][1] == m] != [((0, m), 1)]
+        shapes["odd m"] += m % 2
+        shapes["constant d"] += [k for k, _ in d.terms] == [(0, 0)]
+        shapes["d with x"] += any(dx for (dx, _), _ in d.terms)
+        pairs += [(f, g), (g, f)]
+    assert min(shapes.values()) >= 15, shapes
+    fallbacks = [(f, f * P("u + x")) for f, _, _ in random_u_free_pairs(rng)][:40]
+    fallbacks += [(P("x^2 - 3"), P("u^2 + x")), (P("2*x"), P("u^3 - x")), (P("5"), P("u + 1"))]
+    fallbacks += [(g, f) for f, g in fallbacks]
+    for f, g in pairs + fallbacks:
+        p, q = wallfn._in_ux(f), wallfn._in_ux(g)
+        res, ring = wallfn._resultant_u(p, q), p.resultant(q)
+        assert str(res.as_expr()) == str(ring.as_expr()) == str(oracles.resultant_u(f, g)), (f, g)
+        assert len(res) == len(ring), (f, g)
 
 
 def _controls(S, W, rng):
@@ -448,12 +517,12 @@ def test_products_match_the_expr_reference():
 def test_each_distinct_factor_is_decided_once_per_call(monkeypatch):
     decided = []
 
-    def counting_groebner(gens, ring):
-        decided.append(gens)
-        return real(gens, ring)
+    def counting_decision(f):
+        decided.append(f)
+        return real(f)
 
-    real = wallfn.groebner
-    monkeypatch.setattr(wallfn, "groebner", counting_groebner)
+    real = wallfn.is_smooth_curve
+    monkeypatch.setattr(wallfn, "is_smooth_curve", counting_decision)
     for seed, raw in enumerate(TOWER_DATA, start=1):
         S = validate(raw)
         counts = []
@@ -467,3 +536,21 @@ def test_each_distinct_factor_is_decided_once_per_call(monkeypatch):
             decided.clear()
             check(S, W)
             assert len(decided) == distinct, (check.__name__, raw)
+
+
+def _has_constant_generator(f: BiPoly) -> bool:
+    terms = dict(f.terms)
+    return any(p and set(p) == {(0, 0)} for p in (terms, *oracles.derivatives(terms)))
+
+
+def test_groebner_runs_only_without_a_constant_generator(bases):
+    skipped = 0
+    for seed, raw in enumerate(TOWER_DATA, start=1):
+        S = validate(raw)
+        bases.clear()
+        W = generic_wall_assignment(S, seed)
+        distinct = {f for wall in W.factors for f in wall}
+        hard = [f for f in distinct if not _has_constant_generator(f)]
+        assert len(bases) == len(hard), raw
+        skipped += len(distinct) - len(hard)
+    assert skipped > 50  # most factors are u^v + gamma*x, with df/dx = gamma
