@@ -232,7 +232,7 @@ def cmd_render(args) -> int:
 
 def _wall_checks(S: LogDatum, W: WallAssignment) -> dict:
     checks: dict = {"joint_compatible": joint_compatible(S, W)}
-    sub, gen = _wall_reports(S, W, {})
+    sub, gen = _wall_reports(S, W)
     checks["subordinate"] = {"ok": sub.ok, "problems": list(sub.problems)}
     checks["generic"] = (
         None if gen is None else {"ok": gen.ok, "problems": list(gen.problems)}
@@ -243,16 +243,13 @@ def _wall_checks(S: LogDatum, W: WallAssignment) -> dict:
 def _print_wall_checks(checks: dict) -> None:
     print("wall checks:")
     print(f"  joint compatible: {'yes' if checks['joint_compatible'] else 'no'}")
-    sub = checks["subordinate"]
-    print(f"  subordinate: {'yes' if sub['ok'] else 'no'}")
-    for p in sub["problems"]:
-        print(f"    - {p}")
-    gen = checks["generic"]
-    if gen is None:
-        print("  generic: skipped (requires a subordinate assignment)")
-    else:
-        print(f"  generic: {'yes' if gen['ok'] else 'no'}")
-        for p in gen["problems"]:
+    for name in ("subordinate", "generic"):
+        check = checks[name]
+        if check is None:
+            print(f"  {name}: skipped (requires a subordinate assignment)")
+            continue
+        print(f"  {name}: {'yes' if check['ok'] else 'no'}")
+        for p in check["problems"]:
             print(f"    - {p}")
 
 
@@ -263,13 +260,11 @@ def cmd_report(args) -> int:
     kink_values = kinks(S)
 
     W = None
-    seed_note = None
     if args.walls:
         with open(args.walls) as fh:
             W = WallAssignment.from_obj(json.load(fh))
     elif args.gen_walls is not None:
         W = generic_wall_assignment(S, args.gen_walls)
-        seed_note = args.gen_walls
     checks = _wall_checks(S, W) if W is not None else None
 
     if args.json:
@@ -301,10 +296,10 @@ def cmd_report(args) -> int:
         print(f"  {i}: index {c.index}, {c.label}")
     print(f"kinks (one per wall): {kink_values}")
     if W is not None:
-        if seed_note is not None:
-            print(f"synthesized wall functions (seed {seed_note}):")
-        else:
+        if args.walls:
             print(f"wall functions from {args.walls}:")
+        else:
+            print(f"synthesized wall functions (seed {args.gen_walls}):")
         for i, wall in enumerate(W.factors, start=1):
             for km, f in enumerate(wall, start=1):
                 print(f"  f[{i},{km}] = {format_bipoly(f)}")

@@ -104,9 +104,7 @@ def _canonical_key(state: tuple) -> tuple:
 def canonical_tuple(S: LogDatum) -> tuple:
     """Hashable canonical key: nested tuples ((e, nu), ...)."""
     key = _canonical_key(_state(S))
-    return tuple(
-        ((key[t], key[t + 1]), key[t + 2]) for t in range(0, len(key), 3)
-    )
+    return tuple(zip(zip(key[0::3], key[1::3]), key[2::3]))
 
 
 def canonicalize(S: LogDatum) -> str:

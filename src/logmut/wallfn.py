@@ -22,6 +22,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping
 
@@ -46,9 +47,22 @@ _UX = sympy.ring("u,x", _QQ, sympy.grevlex)[0]
 @dataclass(frozen=True)
 class BiPoly:
     """Sparse exact polynomial in Q[x, u]: {(x_degree, u_degree): coefficient}.
-    The text and JSON exchange format; arithmetic runs on the ring _UX."""
+    The text and JSON exchange format; arithmetic runs on the ring _UX.  Its
+    _UX element and smoothness verdict are computed once per object, on first
+    use; ==, hash, repr and pickle see `terms` only."""
 
     terms: tuple[tuple[tuple[int, int], Fraction], ...]
+
+    @cached_property
+    def _ux(self):
+        return _in_ux(self)
+
+    @cached_property
+    def _smooth(self) -> bool:
+        return _decide_smooth(self._ux)
+
+    def __reduce__(self):  # sympy cannot pickle _UX elements; rebuild them
+        return BiPoly, (self.terms,)
 
     @staticmethod
     def from_terms(terms: Mapping[tuple[int, int], Fraction | int]) -> "BiPoly":
@@ -66,7 +80,7 @@ class BiPoly:
         return BiPoly.from_terms({(0, n): 1})
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
-        return _from_ux(_in_ux(self) * _in_ux(other))
+        return _from_ux(self._ux * other._ux)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -207,9 +221,11 @@ class WallAssignment:
             raise ShapeMismatch(
                 "a wall assignment is a list of walls, each a list of factors"
             )
-        return WallAssignment(
-            tuple(tuple(bipoly_from_obj(f) for f in wall) for wall in walls)
-        )
+        seen: dict[BiPoly, BiPoly] = {}  # one object, one decision, per factor
+        return WallAssignment(tuple(
+            tuple(seen.setdefault(f, f) for f in map(bipoly_from_obj, wall))
+            for wall in walls
+        ))
 
 
 def _check_shape(S: LogDatum, W: WallAssignment) -> None:
@@ -246,7 +262,11 @@ def is_smooth_curve(f: BiPoly) -> bool:
     Q[x, u], i.e. the reduced Groebner basis being [1]; Groebner bases over Q
     do not change under field extension, so this is exact.
     """
-    p = _in_ux(f)
+    return f._smooth
+
+
+def _decide_smooth(p) -> bool:
+    """is_smooth_curve for the _UX element p."""
     # groebner() divides by its generators, so zeros are left out (f = 0
     # leaves none, and the empty basis is not [1]).  A nonzero constant
     # generates all of Q[x, u] on its own, so its basis is [1] without
@@ -286,21 +306,11 @@ def _resultant_u(f, g):
     return f.resultant(g)
 
 
-def _smooth(f: BiPoly, smooth: dict[BiPoly, bool]) -> bool:
-    """is_smooth_curve(f), decided once per `smooth`, a dict that lives for
-    one public call."""
-    known = smooth.get(f)
-    if known is None:
-        known = smooth[f] = is_smooth_curve(f)
-    return known
-
-
 def _wall_reports(
-    S: LogDatum, W: WallAssignment, smooth: dict[BiPoly, bool], generic: bool = True
+    S: LogDatum, W: WallAssignment, generic: bool = True
 ) -> tuple[CheckReport, CheckReport | None]:
     """The is_subordinate report and, if `generic` and the assignment is
-    subordinate, the is_generic report (else None); each distinct factor's
-    smoothness is decided once through `smooth`."""
+    subordinate, the is_generic report (else None)."""
     _check_shape(S, W)
     problems = []
     for i, (edge, wall) in enumerate(zip(S.edges, W.factors), start=1):
@@ -316,14 +326,14 @@ def _wall_reports(
                     f"wall {i} factor {k}: restriction {factor.restrict_to_u()} "
                     f"!= u^{part}"
                 )
-            elif not _smooth(factor, smooth):
+            elif not factor._smooth:
                 problems.append(f"wall {i} factor {k}: zero curve is singular")
     sub = CheckReport(not problems, tuple(problems))
     if not (generic and sub):
         return sub, None
     problems = []
     for i, wall in enumerate(W.factors, start=1):
-        polys = [_in_ux(f) for f in wall]
+        polys = [f._ux for f in wall]
         for a in range(len(polys)):
             for b in range(a + 1, len(polys)):
                 f, g = polys[a], polys[b]
@@ -345,7 +355,7 @@ def is_subordinate(S: LogDatum, W: WallAssignment) -> CheckReport:
     """One factor per part, each restricting to u^{l_{i,k}} with a smooth
     zero curve.  Factor-count mismatches are reported as failures (not
     exceptions); ShapeMismatch is raised only for a wall-count mismatch."""
-    return _wall_reports(S, W, {}, generic=False)[0]
+    return _wall_reports(S, W, generic=False)[0]
 
 
 def is_generic(S: LogDatum, W: WallAssignment) -> CheckReport:
@@ -356,7 +366,7 @@ def is_generic(S: LogDatum, W: WallAssignment) -> CheckReport:
     otherwise); curves on different walls live on different surfaces and are
     not compared.
     """
-    sub, gen = _wall_reports(S, W, {})
+    sub, gen = _wall_reports(S, W)
     if gen is None:
         raise SubordinationRequired(
             "genericity needs a subordinate assignment; problems: "
@@ -384,27 +394,23 @@ def generic_wall_assignment(S: LogDatum, seed: int) -> WallAssignment:
     such tower and raise WallSynthesisError; see README.
     """
     rng = random.Random(seed)
-    smooth: dict[BiPoly, bool] = {}
     for _ in range(50):
         walls = []
-        ok = True
         for edge in S.edges:
-            wall = _synthesize_wall(edge, rng, smooth)
+            wall = _synthesize_wall(edge, rng)
             if wall is None:
-                ok = False
                 break
             walls.append(wall)
-        if not ok:
-            continue
-        W = WallAssignment(tuple(walls))
-        if _wall_reports(S, W, smooth)[1]:
-            return W
+        else:
+            W = WallAssignment(tuple(walls))
+            if _wall_reports(S, W)[1]:
+                return W
     raise WallSynthesisError(
         "could not draw a generic assignment in 50 attempts"
     )  # pragma: no cover - the tower construction passes on the first draw
 
 
-def _synthesize_wall(edge, rng: random.Random, smooth: dict[BiPoly, bool]):
+def _synthesize_wall(edge, rng: random.Random):
     """Factors for one wall, returned in the partition's (descending) order;
     WallSynthesisError if the partition admits no dominant tower."""
     u, x = _UX.gens
@@ -429,10 +435,10 @@ def _synthesize_wall(edge, rng: random.Random, smooth: dict[BiPoly, bool]):
             _from_ux(u ** (v - below) * core + _QQ(g.numerator, g.denominator) * x)
             for g in gammas
         ]
-        if not all(_smooth(f, smooth) for f in group):
+        if not all(f._smooth for f in group):
             return None  # redraw with fresh randomness
         by_value[v] = group
         for f in group:
-            core *= _in_ux(f)
+            core *= f._ux
         below += v * count
     return tuple(by_value[part].pop(0) for part in nu)

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -514,28 +516,79 @@ def test_products_match_the_expr_reference():
         assert f * g == g * f
 
 
-def test_each_distinct_factor_is_decided_once_per_call(monkeypatch):
-    decided = []
+@pytest.fixture
+def decided(monkeypatch):
+    """The _UX elements wallfn decides the smoothness of, one per decision."""
+    calls = []
+    real = wallfn._decide_smooth
 
-    def counting_decision(f):
-        decided.append(f)
-        return real(f)
+    def counting_decision(p):
+        calls.append(p)
+        return real(p)
 
-    real = wallfn.is_smooth_curve
-    monkeypatch.setattr(wallfn, "is_smooth_curve", counting_decision)
+    monkeypatch.setattr(wallfn, "_decide_smooth", counting_decision)
+    return calls
+
+
+def test_each_factor_object_is_decided_once(decided):
+    """Synthesis and every check after it share one decision per factor
+    object; a second synthesis draws new objects and decides them again."""
     for seed, raw in enumerate(TOWER_DATA, start=1):
         S = validate(raw)
-        counts = []
-        for _ in range(2):  # a second call repeats every decision: no state survives
-            decided.clear()
-            W = generic_wall_assignment(S, seed)
-            counts.append(len(decided))
-        distinct = len({f for wall in W.factors for f in wall})
-        assert counts == [distinct, distinct], raw
+        decided.clear()
+        W = generic_wall_assignment(S, seed)
         for check in (is_subordinate, is_generic, _wall_checks):
-            decided.clear()
             check(S, W)
-            assert len(decided) == distinct, (check.__name__, raw)
+        objects = {id(f): f for wall in W.factors for f in wall}
+        assert sorted(wallfn._from_ux(p).terms for p in decided) == sorted(
+            f.terms for f in objects.values()
+        ), raw
+        decided.clear()
+        again = generic_wall_assignment(S, seed)
+        assert again == W and len(decided) == len(objects), raw
+        assert not {id(f) for wall in again.factors for f in wall} & objects.keys()
+
+
+def test_wall_documents_share_one_object_per_distinct_factor(bases):
+    """A factor repeated within and across walls, as text and as triples, is
+    one object after from_obj, so its Groebner basis is computed once; the
+    problem strings are those of separate objects."""
+    S = validate([((4, 0), (2, 2)), ((0, 2), (2,)), ((-4, -2), (1, 1))])
+    cusp = [[0, 2, "1"], [3, 0, "-1"]]
+    doc = {"walls": [["u^2 - x^3", cusp], ["u^2 - x^3"], ["u + x", "u - 2*x"]]}
+    W = WallAssignment.from_obj(doc)
+    assert W.factors[0][0] is W.factors[0][1] is W.factors[1][0]
+    checks = _wall_checks(S, W)
+    assert len(bases) == 1
+    expected = [
+        "wall 1 factor 1: zero curve is singular",
+        "wall 1 factor 2: zero curve is singular",
+        "wall 2 factor 1: zero curve is singular",
+    ]
+    assert checks["subordinate"] == {"ok": False, "problems": expected}
+    assert checks["generic"] is None
+    assert list(oracles.wall_problems(S, W)[0]) == expected
+    bases.clear()
+    separate = WallAssignment(tuple(tuple(BiPoly(f.terms) for f in w) for w in W.factors))
+    assert _wall_checks(S, separate) == checks and len(bases) == 3
+
+
+def test_cached_derived_data_keeps_value_semantics():
+    """==, hash, repr, str, copy and pickle see the terms alone, whether or
+    not the ring element and verdict are cached; a fresh equal object gets
+    the reference verdict."""
+    rng = random.Random(29)
+    for f in list(SPECIAL) + [random_bipoly(rng) for _ in range(60)]:
+        empty, filled = BiPoly(f.terms), BiPoly(f.terms)
+        smooth = is_smooth_curve(filled)
+        assert vars(empty).keys() == {"terms"} and {"_ux", "_smooth"} <= vars(filled).keys()
+        assert pickle.dumps(filled) == pickle.dumps(empty)
+        for g in (empty, filled, copy.copy(empty), copy.copy(filled),
+                  pickle.loads(pickle.dumps(filled))):
+            assert g == f and hash(g) == hash(f), f
+            assert repr(g) == repr(f) and str(g) == str(f), f
+        fresh = BiPoly(f.terms)
+        assert is_smooth_curve(fresh) is smooth is oracles.is_smooth_curve(fresh), f
 
 
 def _has_constant_generator(f: BiPoly) -> bool:
