@@ -4,6 +4,8 @@ Everything is integer or rational arithmetic: no floats anywhere in the
 mathematical core, so every verdict and certificate is exact.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     ClosureViolation,
     DuplicateDirection,
@@ -91,78 +93,8 @@ from .render import RenderSpec, render_svg
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BiPoly",
-    "CertStep",
-    "Certificate",
-    "CheckReport",
-    "ClosureViolation",
-    "ComponentReport",
-    "ComponentType",
-    "DuplicateDirection",
-    "Edge",
-    "FanPresentation",
-    "IllegalMutation",
-    "InvalidDatum",
-    "LogDatum",
-    "LogMutError",
-    "MutationIndex",
-    "NotRankOne",
-    "NotRankTwo",
-    "Partition",
-    "PartitionSumMismatch",
-    "Rank",
-    "RenderSpec",
-    "ShapeMismatch",
-    "SubordinationRequired",
-    "TooFewEdges",
-    "UnimodularMap",
-    "Vec",
-    "Verdict",
-    "WallAssignment",
-    "WallSynthesisError",
-    "ZeroVector",
-    "an_datum",
-    "apply_to_datum",
-    "canonical_rep",
-    "canonical_tuple",
-    "canonicalize",
-    "sort_ccw",
-    "shear_map",
-    "component_types",
-    "datum_from_obj",
-    "datum_to_obj",
-    "dual_polygon",
-    "enumerate_zero_mutable",
-    "fan_presentation",
-    "bipoly_from_obj",
-    "bipoly_to_obj",
-    "format_bipoly",
-    "generic_wall_assignment",
-    "is_generic",
-    "is_irreducible",
-    "is_smooth_curve",
-    "is_subordinate",
-    "is_zero_mutable",
-    "is_zero_mutable_rank_one",
-    "jerry_datum",
-    "joint_compatible",
-    "kinks",
-    "legal_mutations",
-    "mutate",
-    "mutate_by_value",
-    "mutate_with_trace",
-    "named",
-    "parse_bipoly",
-    "partitions_of",
-    "polygon",
-    "primitive_split",
-    "rank",
-    "render_svg",
-    "replay",
-    "sform",
-    "to_east",
-    "tom_datum",
-    "validate",
-    "verify_certificate",
-]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

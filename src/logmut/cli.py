@@ -26,7 +26,13 @@ import os
 import re
 import sys
 
-from .decider import canonicalize, enumerate_zero_mutable, is_zero_mutable
+from .decider import (
+    MAX_DEPTH,
+    MAX_STATES,
+    canonicalize,
+    enumerate_zero_mutable,
+    is_zero_mutable,
+)
 from .errors import IllegalMutation, InvalidDatum, LogMutError, TooFewEdges
 from .lattice import sort_ccw
 from .logdatum import (
@@ -335,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     def add_limits(p):
-        p.add_argument("--max-depth", type=_integer, default=32, metavar="N")
-        p.add_argument("--max-states", type=_integer, default=10**6, metavar="N")
+        p.add_argument("--max-depth", type=_integer, default=MAX_DEPTH, metavar="N")
+        p.add_argument("--max-states", type=_integer, default=MAX_STATES, metavar="N")
 
     p = sub.add_parser("validate", help="check and normalize a datum")
     add_common(p)
@@ -419,9 +425,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def entry() -> None:
-    raise SystemExit(main(sys.argv[1:]))
-
-
 if __name__ == "__main__":
-    entry()
+    raise SystemExit(main())

@@ -33,6 +33,8 @@ from .logdatum import (
 )
 from .mutation import _expand_state, _state, mutate_by_value
 
+MAX_DEPTH = 32  # the search's default limits, also the CLI's
+MAX_STATES = 10**6
 
 # The search works on the flat states of mutation.py.  A key is a flat
 # (x, y, nu, x, y, nu, ...) tuple; it orders like the nested ((e, nu), ...)
@@ -188,7 +190,7 @@ class Verdict:
 
 
 def is_zero_mutable(
-    S: LogDatum, *, max_depth: int = 32, max_states: int = 10**6
+    S: LogDatum, *, max_depth: int = MAX_DEPTH, max_states: int = MAX_STATES
 ) -> Verdict:
     """Breadth-first search for a mutation path to a rank-one datum with
     equal partitions.
@@ -327,8 +329,8 @@ def verify_certificate(S: LogDatum, cert: Certificate) -> bool:
 def enumerate_zero_mutable(
     edge_vectors: Sequence[Vec],
     *,
-    max_depth: int = 32,
-    max_states: int = 10**6,
+    max_depth: int = MAX_DEPTH,
+    max_states: int = MAX_STATES,
 ) -> list[tuple[tuple[Partition, ...], Verdict]]:
     """Decide every partition assignment over a fixed closed edge list.
 

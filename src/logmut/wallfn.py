@@ -405,9 +405,7 @@ def generic_wall_assignment(S: LogDatum, seed: int) -> WallAssignment:
             W = WallAssignment(tuple(walls))
             if _wall_reports(S, W)[1]:
                 return W
-    raise WallSynthesisError(
-        "could not draw a generic assignment in 50 attempts"
-    )  # pragma: no cover - the tower construction passes on the first draw
+    raise WallSynthesisError("could not draw a generic assignment in 50 attempts")
 
 
 def _synthesize_wall(edge, rng: random.Random):

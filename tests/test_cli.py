@@ -1,8 +1,11 @@
 import io
 import json
+import os
 import shutil
 import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -566,3 +569,32 @@ def test_console_script_round_trip(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] == "Yes"
+
+
+RANK_ONE_NO = {"edges": [{"e": [2, 0], "nu": [2]}, {"e": [-2, 0], "nu": [1, 1]}]}
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code",
+    [
+        (["decide", "An(0)", "--json"], None, 0),
+        (["validate", "Nobody"], None, 1),
+        (["decide", "An(1000001)"], None, 2),
+        (["mutate", "Tom", "--edge", "1", "--part", "5"], None, 3),
+        (["decide", "-"], json.dumps(RANK_ONE_NO), 4),
+        (["decide", "Jerry", "--max-depth", "1"], None, 5),
+    ],
+)
+def test_module_entry_point_exit_codes(argv, stdin, code):
+    """`python -m logmut.cli` on the checkout's source, one run per exit code."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "logmut.cli", *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["verdict"] == "Yes"

@@ -28,7 +28,7 @@ from logmut import (
     validate,
 )
 from logmut import wallfn
-from logmut.cli import _wall_checks
+from logmut.cli import _wall_checks, main
 from logmut.errors import (
     InvalidDatum,
     ShapeMismatch,
@@ -308,6 +308,71 @@ def test_synthesis_refuses_partition_without_dominant_tower():
         generic_wall_assignment(S, seed=1)
     assert "(2, 1, 1, 1)" in str(err.value)
     assert "no dominant-tower assignment exists" in str(err.value)
+
+
+def _singular_for(monkeypatch, calls: int | None) -> list:
+    """Make _decide_smooth answer singular on its first `calls` calls (all
+    calls when None), then decide for real; returns the decided elements."""
+    real = wallfn._decide_smooth
+    seen = []
+
+    def decision(p):
+        seen.append(p)
+        return False if calls is None or len(seen) <= calls else real(p)
+
+    monkeypatch.setattr(wallfn, "_decide_smooth", decision)
+    return seen
+
+
+def test_synthesis_redraws_after_a_singular_factor(monkeypatch):
+    """A singular factor ends its attempt at once; the next attempt draws on
+    from the same random stream."""
+    S = tom_datum()
+    redrawn = []
+    for _ in range(2):
+        with monkeypatch.context() as m:
+            _singular_for(m, 1)
+            redrawn.append(generic_wall_assignment(S, seed=1))
+    rng = random.Random(1)
+    with monkeypatch.context() as m:
+        _singular_for(m, 1)
+        assert wallfn._synthesize_wall(S.edges[0], rng) is None
+    W = WallAssignment(tuple(wallfn._synthesize_wall(e, rng) for e in S.edges))
+    assert redrawn == [W, W] and W != generic_wall_assignment(S, seed=1)
+    assert is_subordinate(S, W) and is_generic(S, W)
+
+
+def test_synthesis_redraws_after_a_non_generic_attempt(monkeypatch):
+    S = tom_datum()
+    rng = random.Random(1)
+    first, second = [
+        WallAssignment(tuple(wallfn._synthesize_wall(e, rng) for e in S.edges))
+        for _ in range(2)
+    ]
+    real = wallfn._resultant_u
+    two_terms = []
+
+    def resultant(f, g):
+        if two_terms:
+            return real(f, g)
+        two_terms.append(wallfn._UX.gens[1] + 1)  # x + 1: not c * x^k
+        return two_terms[0]
+
+    monkeypatch.setattr(wallfn, "_resultant_u", resultant)
+    assert generic_wall_assignment(S, seed=1) == second != first
+    assert two_terms and first == generic_wall_assignment(S, seed=1)
+
+
+def test_synthesis_gives_up_after_50_attempts(monkeypatch, capsys):
+    decided = _singular_for(monkeypatch, None)
+    with pytest.raises(
+        WallSynthesisError,
+        match="^could not draw a generic assignment in 50 attempts$",
+    ):
+        generic_wall_assignment(tom_datum(), seed=1)
+    assert len(decided) == 50  # each attempt stops at its first factor
+    assert main(["report", "Tom", "--gen-walls", "1"]) == 2
+    assert "could not draw a generic assignment" in capsys.readouterr().err
 
 
 # --- the ring-level checks against the expression-level reference --------------
