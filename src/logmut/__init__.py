@@ -9,6 +9,7 @@ from types import ModuleType as _ModuleType
 from .errors import (
     ClosureViolation,
     DuplicateDirection,
+    FactorTooLarge,
     IllegalMutation,
     InvalidDatum,
     LogMutError,

@@ -55,3 +55,7 @@ class SubordinationRequired(LogMutError):
 
 class WallSynthesisError(LogMutError):
     """No generic wall assignment of the supported shapes exists for this datum."""
+
+
+class FactorTooLarge(LogMutError):
+    """A factor needs a Groebner basis above wallfn.MAX_GROEBNER_DEGREE."""

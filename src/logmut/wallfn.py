@@ -18,6 +18,7 @@ part of nu_i; the checks here are exact:
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -30,6 +31,7 @@ import sympy
 from sympy.polys.groebnertools import groebner
 
 from .errors import (
+    FactorTooLarge,
     InvalidDatum,
     ShapeMismatch,
     SubordinationRequired,
@@ -43,13 +45,19 @@ from .logdatum import LogDatum
 _QQ = sympy.QQ
 _UX = sympy.ring("u,x", _QQ, sympy.grevlex)[0]
 
+# is_smooth_curve computes no Groebner basis above this total degree, where
+# one basis can take from seconds to minutes (README, Wall-function checks).
+MAX_GROEBNER_DEGREE = 10
+
 
 @dataclass(frozen=True)
 class BiPoly:
     """Sparse exact polynomial in Q[x, u]: {(x_degree, u_degree): coefficient}.
     The text and JSON exchange format; arithmetic runs on the ring _UX.  Its
-    _UX element and smoothness verdict are computed once per object, on first
-    use; ==, hash, repr and pickle see `terms` only."""
+    _UX element, smoothness verdict and verdicts against later factors of a
+    wall (_pairs, keyed by their value) are computed once per object, on first
+    use; one built from a _UX element, as * and synthesis do, keeps it.  ==,
+    hash, repr and pickle see `terms` only."""
 
     terms: tuple[tuple[tuple[int, int], Fraction], ...]
 
@@ -60,6 +68,10 @@ class BiPoly:
     @cached_property
     def _smooth(self) -> bool:
         return _decide_smooth(self._ux)
+
+    @cached_property
+    def _pairs(self) -> dict:
+        return {}
 
     def __reduce__(self):  # sympy cannot pickle _UX elements; rebuild them
         return BiPoly, (self.terms,)
@@ -236,10 +248,12 @@ def _check_shape(S: LogDatum, W: WallAssignment) -> None:
 
 
 def joint_compatible(S: LogDatum, W: WallAssignment) -> bool:
-    """Each wall's full function restricts to u^{l_i} on the joint (x = 0)."""
+    """Each wall's full function restricts to u^{l_i} on the joint (x = 0):
+    x = 0 is a ring map, so the product of the factors' restrictions."""
     _check_shape(S, W)
+    u, x = _UX.gens
     return all(
-        math.prod(wall, start=BiPoly.u_power(0)).restrict_to_u().is_u_power(length)
+        math.prod((f._ux.coeff_wrt(x, 0) for f in wall), start=_UX.one) == u**length
         for length, wall in zip(S.lengths, W.factors)
     )
 
@@ -260,7 +274,8 @@ def is_smooth_curve(f: BiPoly) -> bool:
 
     Equivalent (Nullstellensatz) to the ideal they generate being all of
     Q[x, u], i.e. the reduced Groebner basis being [1]; Groebner bases over Q
-    do not change under field extension, so this is exact.
+    do not change under field extension, so this is exact.  FactorTooLarge
+    if a basis is needed and f has total degree over MAX_GROEBNER_DEGREE.
     """
     return f._smooth
 
@@ -273,7 +288,12 @@ def _decide_smooth(p) -> bool:
     # computing one; df/dx of u^v + gamma*x is such a constant.  Otherwise
     # df/dx goes before df/du: small bases come out sooner.
     gens = [g for g in (p, p.diff(1), p.diff(0)) if g]
-    return any(g.is_ground for g in gens) or groebner(gens, _UX) == [_UX.one]
+    if any(g.is_ground for g in gens):
+        return True
+    if sum(p.LM) > MAX_GROEBNER_DEGREE:  # grevlex: LM has the top total degree
+        raise FactorTooLarge(f"a wall factor of total degree {sum(p.LM)} needs a "
+                             f"Groebner basis; the cap is {MAX_GROEBNER_DEGREE}")
+    return groebner(gens, _UX) == [_UX.one]
 
 
 def _in_ux(f: BiPoly):
@@ -283,9 +303,11 @@ def _in_ux(f: BiPoly):
 
 
 def _from_ux(p) -> BiPoly:
-    return BiPoly.from_terms(
+    f = BiPoly.from_terms(
         {(dx, du): Fraction(c.numerator, c.denominator) for (du, dx), c in p.items()}
     )
+    vars(f)["_ux"] = p  # the _ux cached_property's value, kept
+    return f
 
 
 def _resultant_u(f, g):
@@ -333,21 +355,21 @@ def _wall_reports(
         return sub, None
     problems = []
     for i, wall in enumerate(W.factors, start=1):
-        polys = [f._ux for f in wall]
-        for a in range(len(polys)):
-            for b in range(a + 1, len(polys)):
-                f, g = polys[a], polys[b]
-                if f.monic() == g.monic():  # proportional, or both zero
-                    problems.append(
-                        f"wall {i}: factors {a + 1} and {b + 1} are proportional"
-                    )
-                    continue
-                res = _resultant_u(f, g)  # an element of Q[x]
-                if len(res) != 1:  # zero, or more than one term
-                    problems.append(
-                        f"wall {i}: Res_u(factor {a + 1}, factor {b + 1}) = "
-                        f"{res.as_expr()} is not a nonzero constant times a power of x"
-                    )
+        for a, b in itertools.combinations(range(len(wall)), 2):
+            f, g = wall[a], wall[b]
+            if g not in f._pairs:  # None: proportional, or both zero
+                p, q = f._ux, g._ux
+                f._pairs[g] = None if p.monic() == q.monic() else _resultant_u(p, q)
+            res = f._pairs[g]  # else Res_u(f, g), an element of Q[x]
+            if res is None:
+                problems.append(
+                    f"wall {i}: factors {a + 1} and {b + 1} are proportional"
+                )
+            elif len(res) != 1:  # zero, or more than one term
+                problems.append(
+                    f"wall {i}: Res_u(factor {a + 1}, factor {b + 1}) = "
+                    f"{res.as_expr()} is not a nonzero constant times a power of x"
+                )
     return sub, CheckReport(not problems, tuple(problems))
 
 

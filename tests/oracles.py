@@ -399,6 +399,16 @@ def resultant_u(f: BiPoly, g: BiPoly):
     return sympy.resultant(to_sympy(f), to_sympy(g), _U)
 
 
+def joint_compatible(S: LogDatum, W: WallAssignment) -> bool:
+    """Each wall's product, expanded as a sympy expression, is u**l at
+    x = 0, where l is the gcd of the edge vector's coordinates."""
+    return all(
+        sympy.expand(sympy.Mul(*map(to_sympy, wall))).subs(_X, 0)
+        == _U ** gcd(abs(edge.e[0]), abs(edge.e[1]))
+        for edge, wall in zip(S.edges, W.factors)
+    )
+
+
 def wall_problems(
     S: LogDatum, W: WallAssignment
 ) -> tuple[tuple[str, ...], tuple[str, ...] | None]:

@@ -1,17 +1,21 @@
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import time
 from math import gcd
 from pathlib import Path
 
 import pytest
 
 from logmut import (
+    BiPoly,
     Certificate,
     datum_to_obj,
+    format_bipoly,
     generic_wall_assignment,
     tom_datum,
     verify_certificate,
@@ -551,6 +555,41 @@ def test_report_synthesis_failure_exits_2(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "report", str(path), "--gen-walls", "1")
     assert code == 2 and "no dominant-tower assignment exists" in err
+
+
+def test_report_refuses_a_factor_over_the_groebner_degree_cap(capsys, tmp_path):
+    """A product of two random factors of x-degree <= 3 and u-degree <= 4
+    that restricts to u^4 needs a Groebner basis of total degree 14; report
+    --walls exits 2 at once instead of computing it."""
+    datum = tmp_path / "datum.json"
+    datum.write_text(json.dumps({"edges": [
+        {"e": [4, 0], "nu": [4]}, {"e": [0, 1], "nu": [1]}, {"e": [-4, -1], "nu": [1]},
+    ]}))
+    walls = tmp_path / "walls.json"
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        f, g = (
+            BiPoly.from_terms({(0, 2): 1, (3, 4): 1, **{
+                (rng.randint(1, 3), rng.randint(0, 4)): rng.randint(-9, 9) for _ in range(6)
+            }})
+            for _ in range(2)
+        )
+        walls.write_text(json.dumps({"walls": [[format_bipoly(f * g)], ["u + x"], ["u - x"]]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "report", str(datum), "--walls", str(walls))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, ""), err
+        assert "total degree 14 needs a Groebner basis; the cap is 10" in err
+
+
+def test_report_gen_walls_over_the_degree_cap_exits_2(capsys, tmp_path):
+    """The value-11 tower factor of partition (11, 1) has total degree 11."""
+    path = tmp_path / "datum.json"
+    path.write_text(json.dumps({"edges": [
+        {"e": [12, 0], "nu": [11, 1]}, {"e": [0, 1], "nu": [1]}, {"e": [-12, -1], "nu": [1]},
+    ]}))
+    code, out, err = run(capsys, "report", str(path), "--gen-walls", "1")
+    assert (code, out) == (2, "") and "the cap is 10" in err
 
 
 # --- argument handling ----------------------------------------------------------

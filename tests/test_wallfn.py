@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -30,6 +31,7 @@ from logmut import (
 from logmut import wallfn
 from logmut.cli import _wall_checks, main
 from logmut.errors import (
+    FactorTooLarge,
     InvalidDatum,
     ShapeMismatch,
     SubordinationRequired,
@@ -570,6 +572,44 @@ def test_tower_assignments_match_the_expr_reference():
     assert seen["problems"] > 60
 
 
+def random_walls(S, rng: random.Random) -> WallAssignment:
+    """Mostly walls whose factors restrict to u^l only jointly: 2*u + x and
+    1/2*u (or the constant 1/2), then factors u + c*x^k; otherwise up to three
+    factors drawn from SPECIAL (zero and constants included) and a few
+    others.  Factor order is shuffled."""
+    others = SPECIAL + tuple(map(P, ("2*u + x", "1/2*u", "-u", "u + x^2", "3*u^2 - x")))
+    walls = []
+    for length in S.lengths:
+        if rng.random() < 0.8:
+            wall = [P("2*u + x"), P("1/2*u") if length >= 2 else P("1/2")]
+            wall += [BiPoly.from_terms({(0, 1): 1, (rng.randint(1, 2), 0): rng.randint(-3, 3)})
+                     for _ in range(length - 2)]
+        else:
+            wall = [rng.choice(others) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(wall)
+        walls.append(tuple(wall))
+    return WallAssignment(tuple(walls))
+
+
+def test_joint_compatibility_matches_the_expr_reference():
+    """joint_compatible multiplies the factors' restrictions on the ring; the
+    reference expands the product and substitutes x = 0."""
+    rng = random.Random(23)
+    verdicts = {True: 0, False: 0}
+    zero_or_constant = 0
+    for seed, raw in enumerate(TOWER_DATA, start=1):
+        S = validate(raw)
+        W = generic_wall_assignment(S, seed)
+        for V in (W, *_controls(S, W, rng), *(random_walls(S, rng) for _ in range(8))):
+            verdict = joint_compatible(S, V)
+            assert verdict is oracles.joint_compatible(S, V), (raw, V)
+            verdicts[verdict] += 1
+            zero_or_constant += any(
+                all(k == (0, 0) for k, _ in f.terms) for wall in V.factors for f in wall
+            )
+    assert min(verdicts.values()) > 60 and zero_or_constant > 20, (verdicts, zero_or_constant)
+
+
 def test_products_match_the_expr_reference():
     """BiPoly * runs on the ring; the reference multiplies sympy expressions."""
     rng = random.Random(17)
@@ -614,6 +654,49 @@ def test_each_factor_object_is_decided_once(decided):
         assert not {id(f) for wall in again.factors for f in wall} & objects.keys()
 
 
+@pytest.fixture
+def resultants(monkeypatch):
+    """The _UX element pairs wallfn takes Res_u of, one per call."""
+    calls = []
+    real = wallfn._resultant_u
+
+    def counting_resultant(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(wallfn, "_resultant_u", counting_resultant)
+    return calls
+
+
+def test_each_factor_pair_is_decided_once(resultants, monkeypatch):
+    """After synthesis, the checks and the controls that share its factor
+    objects, or hold equal copies of each wall's last factor, take no
+    resultant again; fresh copies of all the factors take one per pair.  Synthesized factors keep their ring elements, so none of them is
+    converted to _UX again."""
+    converted = []
+    real_in_ux = wallfn._in_ux
+    monkeypatch.setattr(wallfn, "_in_ux", lambda f: converted.append(f) or real_in_ux(f))
+    rng = random.Random(3)
+    duplicates = 0
+    for seed, raw in enumerate(TOWER_DATA, start=1):
+        S = validate(raw)
+        W = generic_wall_assignment(S, seed)
+        resultants.clear()
+        for check in (is_subordinate, is_generic, _wall_checks, joint_compatible):
+            check(S, W)
+        for V in list(_controls(S, W, rng))[:-1]:  # the last draws new factors
+            duplicates += bool(_wall_checks(S, V)["generic"])
+        assert resultants == [] and converted == [], raw
+        # A verdict is keyed by the second factor's value, not its object.
+        last_copied = tuple((*wall[:-1], BiPoly(wall[-1].terms)) for wall in W.factors)
+        assert is_generic(S, WallAssignment(last_copied)) and resultants == [], raw
+        copies = WallAssignment(tuple(tuple(BiPoly(f.terms) for f in wall) for wall in W.factors))
+        assert is_generic(S, copies)
+        assert len(resultants) == sum(math.comb(len(wall), 2) for wall in W.factors), raw
+        converted.clear()
+    assert duplicates >= 10
+
+
 def test_wall_documents_share_one_object_per_distinct_factor(bases):
     """A factor repeated within and across walls, as text and as triples, is
     one object after from_obj, so its Groebner basis is computed once; the
@@ -646,12 +729,20 @@ def test_cached_derived_data_keeps_value_semantics():
     for f in list(SPECIAL) + [random_bipoly(rng) for _ in range(60)]:
         empty, filled = BiPoly(f.terms), BiPoly(f.terms)
         smooth = is_smooth_curve(filled)
-        assert vars(empty).keys() == {"terms"} and {"_ux", "_smooth"} <= vars(filled).keys()
+        filled._pairs[U] = wallfn._resultant_u(filled._ux, U._ux)  # as is_generic does
+        assert vars(empty).keys() == {"terms"}
+        assert {"_ux", "_smooth", "_pairs"} <= vars(filled).keys()
         assert pickle.dumps(filled) == pickle.dumps(empty)
         for g in (empty, filled, copy.copy(empty), copy.copy(filled),
                   pickle.loads(pickle.dumps(filled))):
             assert g == f and hash(g) == hash(f), f
             assert repr(g) == repr(f) and str(g) == str(f), f
+        # A product keeps its ring element, which is the one _in_ux builds.
+        product, plain = f * U, BiPoly((f * U).terms)
+        assert vars(product).keys() == {"terms", "_ux"} and vars(plain).keys() == {"terms"}
+        assert product._ux == wallfn._in_ux(product) and product == plain
+        assert hash(product) == hash(plain) and repr(product) == repr(plain)
+        assert pickle.dumps(product) == pickle.dumps(plain)
         fresh = BiPoly(f.terms)
         assert is_smooth_curve(fresh) is smooth is oracles.is_smooth_curve(fresh), f
 
@@ -672,3 +763,20 @@ def test_groebner_runs_only_without_a_constant_generator(bases):
         assert len(bases) == len(hard), raw
         skipped += len(distinct) - len(hard)
     assert skipped > 50  # most factors are u^v + gamma*x, with df/dx = gamma
+
+
+def test_groebner_degree_cap(bases):
+    """A factor that needs a Groebner basis is refused above total degree 10,
+    before any basis is computed; a constant generator still settles any
+    degree, and degree 10 is still decided."""
+    assert wallfn.MAX_GROEBNER_DEGREE == 10
+    cusp = P("u^2 - x^3")
+    for f in (P("u^11 + u^10*x + x"), P("u^2*x^9 + u + x^2*u"), cusp * cusp * cusp * cusp):
+        with pytest.raises(FactorTooLarge, match="total degree 1[12] .* the cap is 10$"):
+            is_smooth_curve(f)
+    assert bases == []
+    assert is_smooth_curve(P("u^12 + x")) and is_smooth_curve(P("x^20 + u"))
+    assert is_smooth_curve(P("u^10 + u^9*x + x")) and len(bases) == 1
+    tower = validate([((12, 0), (11, 1)), ((0, 1), (1,)), ((-12, -1), (1,))])
+    with pytest.raises(FactorTooLarge, match="total degree 11 "):
+        generic_wall_assignment(tower, seed=1)
