@@ -13,8 +13,7 @@ Exit codes:
      render --scale below 1, render --lattice-points over a bounding box of
      more than 10**5 lattice points
   2  invalid datum or edge list (An(n) with n > 10**6 too), ill-shaped wall
-     assignment, a wall factor over the Groebner degree cap, negative search
-     limit
+     assignment or one with a factor over the degree cap, negative search limit
   3  illegal mutation (mutate on rank-one data exits 2: not rank two)
   4  decide: verdict No
   5  decide: verdict Unknown

@@ -58,4 +58,4 @@ class WallSynthesisError(LogMutError):
 
 
 class FactorTooLarge(LogMutError):
-    """A factor needs a Groebner basis above wallfn.MAX_GROEBNER_DEGREE."""
+    """A wall document's factor needs a basis above wallfn.MAX_GROEBNER_DEGREE."""

@@ -45,8 +45,8 @@ from .logdatum import LogDatum
 _QQ = sympy.QQ
 _UX = sympy.ring("u,x", _QQ, sympy.grevlex)[0]
 
-# is_smooth_curve computes no Groebner basis above this total degree, where
-# one basis can take from seconds to minutes (README, Wall-function checks).
+# WallAssignment.from_obj refuses a factor that needs a Groebner basis above
+# this total degree (README, Wall-function checks).
 MAX_GROEBNER_DEGREE = 10
 
 
@@ -54,9 +54,9 @@ MAX_GROEBNER_DEGREE = 10
 class BiPoly:
     """Sparse exact polynomial in Q[x, u]: {(x_degree, u_degree): coefficient}.
     The text and JSON exchange format; arithmetic runs on the ring _UX.  Its
-    _UX element, smoothness verdict and verdicts against later factors of a
-    wall (_pairs, keyed by their value) are computed once per object, on first
-    use; one built from a _UX element, as * and synthesis do, keeps it.  ==,
+    _UX element (kept if it was built from one, as * and synthesis build),
+    smoothness verdict and verdicts against later factors of a wall (_pairs,
+    keyed by their value) are computed once per object, on first use; ==,
     hash, repr and pickle see `terms` only."""
 
     terms: tuple[tuple[tuple[int, int], Fraction], ...]
@@ -225,7 +225,8 @@ class WallAssignment:
     @staticmethod
     def from_obj(obj) -> "WallAssignment":
         """From to_obj's {"walls": [...]} or the bare list of walls; each wall
-        is a list of bipoly_from_obj factors (ShapeMismatch otherwise)."""
+        is a list of bipoly_from_obj factors (ShapeMismatch otherwise).
+        FactorTooLarge for one needing a basis above MAX_GROEBNER_DEGREE."""
         walls = obj.get("walls") if isinstance(obj, dict) else obj
         if type(walls) not in (list, tuple) or any(
             type(wall) not in (list, tuple) for wall in walls
@@ -234,10 +235,16 @@ class WallAssignment:
                 "a wall assignment is a list of walls, each a list of factors"
             )
         seen: dict[BiPoly, BiPoly] = {}  # one object, one decision, per factor
-        return WallAssignment(tuple(
+        W = WallAssignment(tuple(
             tuple(seen.setdefault(f, f) for f in map(bipoly_from_obj, wall))
             for wall in walls
         ))
+        for p in (f._ux for f in seen):  # grevlex: LM has the top total degree
+            if sum(p.LM) > MAX_GROEBNER_DEGREE and _basis_input(p) is not None:
+                raise FactorTooLarge(
+                    f"a wall factor of total degree {sum(p.LM)} needs a Groebner "
+                    f"basis; the cap is {MAX_GROEBNER_DEGREE}")
+        return W
 
 
 def _check_shape(S: LogDatum, W: WallAssignment) -> None:
@@ -251,9 +258,9 @@ def joint_compatible(S: LogDatum, W: WallAssignment) -> bool:
     """Each wall's full function restricts to u^{l_i} on the joint (x = 0):
     x = 0 is a ring map, so the product of the factors' restrictions."""
     _check_shape(S, W)
-    u, x = _UX.gens
-    return all(
-        math.prod((f._ux.coeff_wrt(x, 0) for f in wall), start=_UX.one) == u**length
+    return all(  # a _UX monomial is (u_degree, x_degree)
+        math.prod((_UX.from_dict({m: c for m, c in f._ux.items() if not m[1]})
+                   for f in wall), start=_UX.one) == _UX.gens[0] ** length
         for length, wall in zip(S.lengths, W.factors)
     )
 
@@ -274,26 +281,25 @@ def is_smooth_curve(f: BiPoly) -> bool:
 
     Equivalent (Nullstellensatz) to the ideal they generate being all of
     Q[x, u], i.e. the reduced Groebner basis being [1]; Groebner bases over Q
-    do not change under field extension, so this is exact.  FactorTooLarge
-    if a basis is needed and f has total degree over MAX_GROEBNER_DEGREE.
+    do not change under field extension, so this is exact.
     """
     return f._smooth
 
 
 def _decide_smooth(p) -> bool:
     """is_smooth_curve for the _UX element p."""
+    gens = _basis_input(p)
+    return gens is None or groebner(gens, _UX) == [_UX.one]
+
+
+def _basis_input(p) -> list | None:
+    """f, df/dx, df/du of the _UX element p for groebner(), or None when a
+    nonzero constant among them (df/dx of u^v + gamma*x) generates Q[x, u]."""
     # groebner() divides by its generators, so zeros are left out (f = 0
-    # leaves none, and the empty basis is not [1]).  A nonzero constant
-    # generates all of Q[x, u] on its own, so its basis is [1] without
-    # computing one; df/dx of u^v + gamma*x is such a constant.  Otherwise
-    # df/dx goes before df/du: small bases come out sooner.
+    # leaves none, and the empty basis is not [1]).  df/dx goes before
+    # df/du: small bases come out sooner.
     gens = [g for g in (p, p.diff(1), p.diff(0)) if g]
-    if any(g.is_ground for g in gens):
-        return True
-    if sum(p.LM) > MAX_GROEBNER_DEGREE:  # grevlex: LM has the top total degree
-        raise FactorTooLarge(f"a wall factor of total degree {sum(p.LM)} needs a "
-                             f"Groebner basis; the cap is {MAX_GROEBNER_DEGREE}")
-    return groebner(gens, _UX) == [_UX.one]
+    return None if any(g.is_ground for g in gens) else gens
 
 
 def _in_ux(f: BiPoly):

@@ -582,14 +582,16 @@ def test_report_refuses_a_factor_over_the_groebner_degree_cap(capsys, tmp_path):
         assert "total degree 14 needs a Groebner basis; the cap is 10" in err
 
 
-def test_report_gen_walls_over_the_degree_cap_exits_2(capsys, tmp_path):
-    """The value-11 tower factor of partition (11, 1) has total degree 11."""
+def test_report_gen_walls_decides_a_tower_over_the_degree_cap(capsys, tmp_path):
+    """The value-11 tower factor of partition (11, 1) has total degree 11 and
+    needs a Groebner basis; the cap bounds wall documents only, so synthesis
+    decides it."""
     path = tmp_path / "datum.json"
     path.write_text(json.dumps({"edges": [
         {"e": [12, 0], "nu": [11, 1]}, {"e": [0, 1], "nu": [1]}, {"e": [-12, -1], "nu": [1]},
     ]}))
     code, out, err = run(capsys, "report", str(path), "--gen-walls", "1")
-    assert (code, out) == (2, "") and "the cap is 10" in err
+    assert (code, err) == (0, "") and "  subordinate: yes\n  generic: yes\n" in out
 
 
 # --- argument handling ----------------------------------------------------------

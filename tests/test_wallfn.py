@@ -765,18 +765,21 @@ def test_groebner_runs_only_without_a_constant_generator(bases):
     assert skipped > 50  # most factors are u^v + gamma*x, with df/dx = gamma
 
 
-def test_groebner_degree_cap(bases):
-    """A factor that needs a Groebner basis is refused above total degree 10,
-    before any basis is computed; a constant generator still settles any
-    degree, and degree 10 is still decided."""
+def test_wall_documents_bound_the_groebner_degree(bases):
+    """A wall document's factor that needs a Groebner basis is refused above
+    total degree 10, as text or triples, before any basis is computed; a
+    constant generator still settles any degree, and degree 10 is still read.
+    Factors the program builds, and is_smooth_curve, are not bounded."""
     assert wallfn.MAX_GROEBNER_DEGREE == 10
     cusp = P("u^2 - x^3")
     for f in (P("u^11 + u^10*x + x"), P("u^2*x^9 + u + x^2*u"), cusp * cusp * cusp * cusp):
-        with pytest.raises(FactorTooLarge, match="total degree 1[12] .* the cap is 10$"):
-            is_smooth_curve(f)
+        for doc in ({"walls": [["u"], [format_bipoly(f)]]}, [[bipoly_to_obj(f), "u"]]):
+            with pytest.raises(FactorTooLarge, match="total degree 1[12] .* the cap is 10$"):
+                WallAssignment.from_obj(doc)
+    WallAssignment.from_obj([["u^12 + x", "x^20 + u", "u^10 + u^9*x + x"]])
     assert bases == []
-    assert is_smooth_curve(P("u^12 + x")) and is_smooth_curve(P("x^20 + u"))
-    assert is_smooth_curve(P("u^10 + u^9*x + x")) and len(bases) == 1
+    assert is_smooth_curve(P("u^11 + u^10*x + x")) and len(bases) == 1
     tower = validate([((12, 0), (11, 1)), ((0, 1), (1,)), ((-12, -1), (1,))])
-    with pytest.raises(FactorTooLarge, match="total degree 11 "):
-        generic_wall_assignment(tower, seed=1)
+    W = generic_wall_assignment(tower, seed=1)
+    assert max(sum(k) for f in W.factors[0] for k, _ in f.terms) == 11
+    assert is_generic(tower, W)
