@@ -12,8 +12,8 @@ Exit codes:
      integer option other than ASCII digits with an optional leading minus),
      render --scale below 1, render --lattice-points over a bounding box of
      more than 10**5 lattice points
-  2  invalid datum or edge list (An(n) with n > 10**6 too), ill-shaped wall
-     assignment or one with a factor over the degree cap, negative search limit
+  2  invalid datum or edge list (An(n) with n > 10**6 too), wall assignment
+     ill-shaped or over the degree cap, refused --gen-walls, negative search limit
   3  illegal mutation (mutate on rank-one data exits 2: not rank two)
   4  decide: verdict No
   5  decide: verdict Unknown
@@ -48,9 +48,10 @@ from .mutation import mutate_with_trace, part_index
 from .render import RenderSpec, render_svg
 from .wallfn import (
     WallAssignment,
-    _wall_reports,
     format_bipoly,
     generic_wall_assignment,
+    is_generic,
+    is_subordinate,
     joint_compatible,
     kinks,
 )
@@ -238,8 +239,9 @@ def cmd_render(args) -> int:
 
 def _wall_checks(S: LogDatum, W: WallAssignment) -> dict:
     checks: dict = {"joint_compatible": joint_compatible(S, W)}
-    sub, gen = _wall_reports(S, W)
+    sub = is_subordinate(S, W)
     checks["subordinate"] = {"ok": sub.ok, "problems": list(sub.problems)}
+    gen = is_generic(S, W) if sub else None
     checks["generic"] = (
         None if gen is None else {"ok": gen.ok, "problems": list(gen.problems)}
     )
@@ -421,7 +423,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument; print it bare
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 1
 
 

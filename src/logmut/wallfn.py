@@ -3,7 +3,8 @@
 Each wall surface carries coordinates (x, u) — the wall direction u_i is
 primitive, so together with the joint direction u it spans the wall monoid
 freely.  A wall function for edge i is a product of factors f_{i,k}, one per
-part of nu_i; the checks here are exact:
+part of nu_i.  Every factor of a wall document is capped at total degree
+MAX_GROEBNER_DEGREE, and the checks here are exact:
 
 * joint_compatible: the product of each wall's factors restricts to u^{l_i}
   at x = 0 (the sufficient form of the compatibility condition along the
@@ -11,10 +12,10 @@ part of nu_i; the checks here are exact:
 * is_subordinate: each factor restricts to u^{l_{i,k}} and cuts out a smooth
   curve (no common zero of f, df/dx, df/du over the algebraic closure,
   decided by Groebner-basis triviality over Q).
-* is_generic: within each wall, factors are pairwise non-proportional and
-  each pairwise resultant in u is a nonzero constant times a power of x, so
-  the curves meet only on the joint — combined with the restriction
-  condition, only at the origin.
+* is_generic: runs is_subordinate first; then, within each wall, factors are
+  pairwise non-proportional and each pairwise resultant in u (kept on the
+  first factor, keyed by the second's ring element) is a nonzero constant
+  times a power of x: the curves meet only on the joint, at the origin.
 """
 from __future__ import annotations
 
@@ -45,8 +46,8 @@ from .logdatum import LogDatum
 _QQ = sympy.QQ
 _UX = sympy.ring("u,x", _QQ, sympy.grevlex)[0]
 
-# WallAssignment.from_obj refuses a factor that needs a Groebner basis above
-# this total degree (README, Wall-function checks).
+# WallAssignment.from_obj refuses a factor above this total degree, which
+# bounds its Groebner basis and resultants (README, Wall-function checks).
 MAX_GROEBNER_DEGREE = 10
 
 
@@ -56,8 +57,8 @@ class BiPoly:
     The text and JSON exchange format; arithmetic runs on the ring _UX.  Its
     _UX element (kept if it was built from one, as * and synthesis build),
     smoothness verdict and verdicts against later factors of a wall (_pairs,
-    keyed by their value) are computed once per object, on first use; ==,
-    hash, repr and pickle see `terms` only."""
+    keyed by their _UX elements) are computed once per object, on first use;
+    ==, hash, repr and pickle see `terms` only."""
 
     terms: tuple[tuple[tuple[int, int], Fraction], ...]
 
@@ -226,7 +227,7 @@ class WallAssignment:
     def from_obj(obj) -> "WallAssignment":
         """From to_obj's {"walls": [...]} or the bare list of walls; each wall
         is a list of bipoly_from_obj factors (ShapeMismatch otherwise).
-        FactorTooLarge for one needing a basis above MAX_GROEBNER_DEGREE."""
+        FactorTooLarge for one of total degree above MAX_GROEBNER_DEGREE."""
         walls = obj.get("walls") if isinstance(obj, dict) else obj
         if type(walls) not in (list, tuple) or any(
             type(wall) not in (list, tuple) for wall in walls
@@ -240,10 +241,10 @@ class WallAssignment:
             for wall in walls
         ))
         for p in (f._ux for f in seen):  # grevlex: LM has the top total degree
-            if sum(p.LM) > MAX_GROEBNER_DEGREE and _basis_input(p) is not None:
+            if sum(p.LM) > MAX_GROEBNER_DEGREE:
                 raise FactorTooLarge(
-                    f"a wall factor of total degree {sum(p.LM)} needs a Groebner "
-                    f"basis; the cap is {MAX_GROEBNER_DEGREE}")
+                    f"a wall factor of total degree {sum(p.LM)} is too large to "
+                    f"check; the cap is {MAX_GROEBNER_DEGREE}")
         return W
 
 
@@ -287,19 +288,14 @@ def is_smooth_curve(f: BiPoly) -> bool:
 
 
 def _decide_smooth(p) -> bool:
-    """is_smooth_curve for the _UX element p."""
-    gens = _basis_input(p)
-    return gens is None or groebner(gens, _UX) == [_UX.one]
-
-
-def _basis_input(p) -> list | None:
-    """f, df/dx, df/du of the _UX element p for groebner(), or None when a
-    nonzero constant among them (df/dx of u^v + gamma*x) generates Q[x, u]."""
+    """is_smooth_curve for the _UX element p: no basis is computed when a
+    nonzero constant among f, df/dx, df/du (df/dx of u^v + gamma*x)
+    generates Q[x, u] by itself."""
     # groebner() divides by its generators, so zeros are left out (f = 0
     # leaves none, and the empty basis is not [1]).  df/dx goes before
     # df/du: small bases come out sooner.
     gens = [g for g in (p, p.diff(1), p.diff(0)) if g]
-    return None if any(g.is_ground for g in gens) else gens
+    return any(g.is_ground for g in gens) or groebner(gens, _UX) == [_UX.one]
 
 
 def _in_ux(f: BiPoly):
@@ -334,11 +330,10 @@ def _resultant_u(f, g):
     return f.resultant(g)
 
 
-def _wall_reports(
-    S: LogDatum, W: WallAssignment, generic: bool = True
-) -> tuple[CheckReport, CheckReport | None]:
-    """The is_subordinate report and, if `generic` and the assignment is
-    subordinate, the is_generic report (else None)."""
+def is_subordinate(S: LogDatum, W: WallAssignment) -> CheckReport:
+    """One factor per part, each restricting to u^{l_{i,k}} with a smooth
+    zero curve.  Factor-count mismatches are reported as failures (not
+    exceptions); ShapeMismatch is raised only for a wall-count mismatch."""
     _check_shape(S, W)
     problems = []
     for i, (edge, wall) in enumerate(zip(S.edges, W.factors), start=1):
@@ -356,17 +351,30 @@ def _wall_reports(
                 )
             elif not factor._smooth:
                 problems.append(f"wall {i} factor {k}: zero curve is singular")
-    sub = CheckReport(not problems, tuple(problems))
-    if not (generic and sub):
-        return sub, None
+    return CheckReport(not problems, tuple(problems))
+
+
+def is_generic(S: LogDatum, W: WallAssignment) -> CheckReport:
+    """Within each wall: factors pairwise non-proportional, and every pairwise
+    resultant Res_u is a nonzero constant times a power of x.
+
+    Runs is_subordinate first and raises SubordinationRequired if it fails;
+    curves on different walls live on different surfaces and are not
+    compared.
+    """
+    sub = is_subordinate(S, W)
+    if not sub:
+        raise SubordinationRequired(
+            "genericity needs a subordinate assignment; problems: "
+            + "; ".join(sub.problems)
+        )
     problems = []
     for i, wall in enumerate(W.factors, start=1):
         for a, b in itertools.combinations(range(len(wall)), 2):
-            f, g = wall[a], wall[b]
-            if g not in f._pairs:  # None: proportional, or both zero
-                p, q = f._ux, g._ux
-                f._pairs[g] = None if p.monic() == q.monic() else _resultant_u(p, q)
-            res = f._pairs[g]  # else Res_u(f, g), an element of Q[x]
+            p, q, pairs = wall[a]._ux, wall[b]._ux, wall[a]._pairs
+            if q not in pairs:  # None: proportional, or both zero
+                pairs[q] = None if p.monic() == q.monic() else _resultant_u(p, q)
+            res = pairs[q]  # else Res_u(p, q), an element of Q[x]
             if res is None:
                 problems.append(
                     f"wall {i}: factors {a + 1} and {b + 1} are proportional"
@@ -376,31 +384,7 @@ def _wall_reports(
                     f"wall {i}: Res_u(factor {a + 1}, factor {b + 1}) = "
                     f"{res.as_expr()} is not a nonzero constant times a power of x"
                 )
-    return sub, CheckReport(not problems, tuple(problems))
-
-
-def is_subordinate(S: LogDatum, W: WallAssignment) -> CheckReport:
-    """One factor per part, each restricting to u^{l_{i,k}} with a smooth
-    zero curve.  Factor-count mismatches are reported as failures (not
-    exceptions); ShapeMismatch is raised only for a wall-count mismatch."""
-    return _wall_reports(S, W, generic=False)[0]
-
-
-def is_generic(S: LogDatum, W: WallAssignment) -> CheckReport:
-    """Within each wall: factors pairwise non-proportional, and every pairwise
-    resultant Res_u is a nonzero constant times a power of x.
-
-    Requires a subordinate assignment (raises SubordinationRequired
-    otherwise); curves on different walls live on different surfaces and are
-    not compared.
-    """
-    sub, gen = _wall_reports(S, W)
-    if gen is None:
-        raise SubordinationRequired(
-            "genericity needs a subordinate assignment; problems: "
-            + "; ".join(sub.problems)
-        )
-    return gen
+    return CheckReport(not problems, tuple(problems))
 
 
 def kinks(S: LogDatum) -> tuple[int, ...]:
@@ -419,7 +403,8 @@ def generic_wall_assignment(S: LogDatum, seed: int) -> WallAssignment:
     D_q = sum of all lower-value parts, which makes every within-wall
     resultant a nonzero constant times a power of x.  Walls whose partition
     violates v_q >= D_q for some q (smallest example: (2,1,1,1)) admit no
-    such tower and raise WallSynthesisError; see README.
+    such tower and raise WallSynthesisError, as do walls with more than
+    _GAMMA_DRAWS parts of one value; see README.
     """
     rng = random.Random(seed)
     for _ in range(50):
@@ -431,14 +416,20 @@ def generic_wall_assignment(S: LogDatum, seed: int) -> WallAssignment:
             walls.append(wall)
         else:
             W = WallAssignment(tuple(walls))
-            if _wall_reports(S, W)[1]:
+            # Subordinate by construction (each factor restricts to u^v and is
+            # redrawn unless smooth), so is_generic cannot raise here.
+            if is_generic(S, W):
                 return W
     raise WallSynthesisError("could not draw a generic assignment in 50 attempts")
 
 
+# How many distinct gammas +-a/b (1 <= a <= 9, 1 <= b <= 3) a wall can draw.
+_GAMMA_DRAWS = 40
+
+
 def _synthesize_wall(edge, rng: random.Random):
     """Factors for one wall, returned in the partition's (descending) order;
-    WallSynthesisError if the partition admits no dominant tower."""
+    WallSynthesisError when no dominant tower or too few distinct gammas exist."""
     u, x = _UX.gens
     nu = edge.nu
     by_value: dict[int, list[BiPoly]] = {}
@@ -452,6 +443,10 @@ def _synthesize_wall(edge, rng: random.Random):
                 "assignment exists"
             )
         count = nu.count(v)
+        if count > _GAMMA_DRAWS:
+            raise WallSynthesisError(
+                f"partition {nu} of edge {edge.e}: {count} parts of value {v}, "
+                f"but only {_GAMMA_DRAWS} distinct gammas can be drawn")
         gammas: list[Fraction] = []
         while len(gammas) < count:
             g = Fraction(rng.randint(1, 9), rng.randint(1, 3)) * rng.choice((1, -1))

@@ -102,6 +102,17 @@ def test_validate_rejects_unknown_name_and_bad_json(capsys, tmp_path):
     assert code == 1
 
 
+def test_unknown_name_in_a_datum_document_prints_its_message_bare(capsys, tmp_path, monkeypatch):
+    """The KeyError of an unknown name reaches stderr without repr quotes,
+    from stdin and from a file; exit 1."""
+    expected = "error: unknown datum name 'Bob'; expected Tom, Jerry, or An(n)\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"name": "Bob"}'))
+    assert run(capsys, "validate", "-") == (1, "", expected)
+    path = tmp_path / "bob.json"
+    path.write_text('{"name": "Bob"}')
+    assert run(capsys, "validate", str(path)) == (1, "", expected)
+
+
 def test_validate_caps_an(capsys):
     code, out, _ = run(capsys, "validate", "An(1000000)", "--json")
     assert code == 0 and json.loads(out)["total_length"] == 10**6 + 3
@@ -559,8 +570,9 @@ def test_report_synthesis_failure_exits_2(capsys, tmp_path):
 
 def test_report_refuses_a_factor_over_the_groebner_degree_cap(capsys, tmp_path):
     """A product of two random factors of x-degree <= 3 and u-degree <= 4
-    that restricts to u^4 needs a Groebner basis of total degree 14; report
-    --walls exits 2 at once instead of computing it."""
+    that restricts to u^4 has total degree 14; report --walls exits 2 at once
+    instead of computing its Groebner basis.  So does u + x^N, smooth without
+    a basis (df/du = 1), whose Res_u against u^2 + x grows with N."""
     datum = tmp_path / "datum.json"
     datum.write_text(json.dumps({"edges": [
         {"e": [4, 0], "nu": [4]}, {"e": [0, 1], "nu": [1]}, {"e": [-4, -1], "nu": [1]},
@@ -579,7 +591,15 @@ def test_report_refuses_a_factor_over_the_groebner_degree_cap(capsys, tmp_path):
         code, out, err = run(capsys, "report", str(datum), "--walls", str(walls))
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (2, ""), err
-        assert "total degree 14 needs a Groebner basis; the cap is 10" in err
+        assert "total degree 14 is too large to check; the cap is 10" in err
+    datum.write_text(json.dumps({"edges": [
+        {"e": [3, 0], "nu": [2, 1]}, {"e": [0, 1], "nu": [1]}, {"e": [-3, -1], "nu": [1]},
+    ]}))
+    walls.write_text(json.dumps({"walls": [["u^2 + x", "u + x^300000"], ["u + x"], ["u - x"]]}))
+    start = time.perf_counter()
+    assert run(capsys, "report", str(datum), "--walls", str(walls)) == (
+        2, "", "error: a wall factor of total degree 300000 is too large to check; the cap is 10\n")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_report_gen_walls_decides_a_tower_over_the_degree_cap(capsys, tmp_path):

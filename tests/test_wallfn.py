@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -377,6 +378,28 @@ def test_synthesis_gives_up_after_50_attempts(monkeypatch, capsys):
     assert "could not draw a generic assignment" in capsys.readouterr().err
 
 
+def test_gamma_draws_counts_the_distinct_draws():
+    """_synthesize_wall draws gamma = +-a/b with 1 <= a <= 9, 1 <= b <= 3."""
+    gammas = {s * Fraction(a, b) for a in range(1, 10) for b in range(1, 4) for s in (1, -1)}
+    assert wallfn._GAMMA_DRAWS == len(gammas) == 40
+
+
+def test_synthesis_refuses_more_equal_parts_than_gammas(capsys):
+    """An(40) has 41 parts of 1 on one wall, one more than the distinct gammas
+    the synthesizer can draw: refused at once, exit 2; An(39) still draws."""
+    start = time.perf_counter()
+    with pytest.raises(
+        WallSynthesisError, match=r"^partition \(1, 1, .*1\) of edge \(0, 41\): 41 parts "
+        r"of value 1, but only 40 distinct gammas can be drawn$",
+    ):
+        generic_wall_assignment(an_datum(40), 1)
+    assert main(["report", "An(40)", "--gen-walls", "1"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "41 parts of value 1" in capsys.readouterr().err
+    W = generic_wall_assignment(an_datum(39), 1)
+    assert len(set(W.factors[1])) == 40 and is_generic(an_datum(39), W)
+
+
 # --- the ring-level checks against the expression-level reference --------------
 
 # The 30 data of the benchmark's walls workload: every partition admits a
@@ -697,6 +720,24 @@ def test_each_factor_pair_is_decided_once(resultants, monkeypatch):
     assert duplicates >= 10
 
 
+def test_is_subordinate_takes_no_resultant(resultants):
+    """is_subordinate alone decides no factor pair, even on fresh copies whose
+    pair verdicts are not kept yet; is_generic checks subordination before
+    it takes any Res_u."""
+    rng = random.Random(5)
+    for seed, raw in enumerate(TOWER_DATA, start=1):
+        S = validate(raw)
+        W = generic_wall_assignment(S, seed)
+        copies = WallAssignment(tuple(tuple(BiPoly(f.terms) for f in wall) for wall in W.factors))
+        resultants.clear()
+        assert is_subordinate(S, copies) and resultants == [], raw
+        wrong_restriction = next(_controls(S, copies, rng))
+        with pytest.raises(SubordinationRequired, match="^genericity needs a subordinate "
+                           "assignment; problems: wall 1 factor 1: restriction "):
+            is_generic(S, wrong_restriction)
+        assert resultants == [], raw
+
+
 def test_wall_documents_share_one_object_per_distinct_factor(bases):
     """A factor repeated within and across walls, as text and as triples, is
     one object after from_obj, so its Groebner basis is computed once; the
@@ -729,7 +770,7 @@ def test_cached_derived_data_keeps_value_semantics():
     for f in list(SPECIAL) + [random_bipoly(rng) for _ in range(60)]:
         empty, filled = BiPoly(f.terms), BiPoly(f.terms)
         smooth = is_smooth_curve(filled)
-        filled._pairs[U] = wallfn._resultant_u(filled._ux, U._ux)  # as is_generic does
+        filled._pairs[U._ux] = wallfn._resultant_u(filled._ux, U._ux)  # as is_generic does
         assert vars(empty).keys() == {"terms"}
         assert {"_ux", "_smooth", "_pairs"} <= vars(filled).keys()
         assert pickle.dumps(filled) == pickle.dumps(empty)
@@ -766,17 +807,19 @@ def test_groebner_runs_only_without_a_constant_generator(bases):
 
 
 def test_wall_documents_bound_the_groebner_degree(bases):
-    """A wall document's factor that needs a Groebner basis is refused above
-    total degree 10, as text or triples, before any basis is computed; a
-    constant generator still settles any degree, and degree 10 is still read.
-    Factors the program builds, and is_smooth_curve, are not bounded."""
+    """A wall document's factor is refused above total degree 10, as text or
+    triples, before any basis is computed, also when a constant generator
+    would settle its smoothness; degree 10 is still read.  Factors the
+    program builds, and is_smooth_curve, are not bounded."""
     assert wallfn.MAX_GROEBNER_DEGREE == 10
     cusp = P("u^2 - x^3")
-    for f in (P("u^11 + u^10*x + x"), P("u^2*x^9 + u + x^2*u"), cusp * cusp * cusp * cusp):
+    for f in (P("u^11 + u^10*x + x"), P("u^2*x^9 + u + x^2*u"), cusp * cusp * cusp * cusp,
+              P("u^12 + x"), P("x^20 + u")):
+        degree = max(dx + du for (dx, du), _ in f.terms)
         for doc in ({"walls": [["u"], [format_bipoly(f)]]}, [[bipoly_to_obj(f), "u"]]):
-            with pytest.raises(FactorTooLarge, match="total degree 1[12] .* the cap is 10$"):
+            with pytest.raises(FactorTooLarge, match=f"total degree {degree} .* the cap is 10$"):
                 WallAssignment.from_obj(doc)
-    WallAssignment.from_obj([["u^12 + x", "x^20 + u", "u^10 + u^9*x + x"]])
+    WallAssignment.from_obj([["u^10 + u^9*x + x", "x^10 + u"]])
     assert bases == []
     assert is_smooth_curve(P("u^11 + u^10*x + x")) and len(bases) == 1
     tower = validate([((12, 0), (11, 1)), ((0, 1), (1,)), ((-12, -1), (1,))])
