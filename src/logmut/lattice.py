@@ -95,46 +95,35 @@ def to_east(u: Vec) -> UnimodularMap:
     return UnimodularMap(a, b, -q, p)
 
 
-def _quadrant(u: Vec) -> int:
-    """Quarter-turn class of the angle of u, measured counterclockwise from (1,0).
-
-    0: [0, pi/2)   x > 0, y >= 0
-    1: [pi/2, pi)  x <= 0, y > 0
-    2: [pi, 3pi/2) x < 0, y <= 0
-    3: [3pi/2, 2pi) x >= 0, y < 0
-    """
-    x, y = u
-    if x > 0 and y >= 0:
-        return 0
-    if x <= 0 and y > 0:
-        return 1
-    if x < 0 and y <= 0:
-        return 2
-    if x >= 0 and y < 0:
-        return 3
-    raise ZeroVector("the zero vector has no angle")
+def _upper(x: int, y: int) -> bool:
+    """Whether the counterclockwise angle of (x, y) from (1, 0) is in [0, pi)."""
+    return y > 0 or (y == 0 and x > 0)
 
 
 def sort_ccw(items: Iterable, direction_of) -> list:
-    """Sort items by the counterclockwise angle of direction_of(item) from (1,0).
+    """Sort items by the counterclockwise angle of direction_of(item) in
+    [0, 2pi) from (1, 0): the east-first order.
 
     Directions must be pairwise non-parallel or equal; equal directions sort
     stably together (the caller detects duplicates separately).  Exact, in
-    integers only: an insertion sort on the quadrant, then the sign of the
-    cross product (decisive within a quadrant), linear on input that is
-    nearly sorted already, as the data that mutation produces are.
+    integers only: an insertion sort keyed by (in the lower half-plane?, x,
+    y), where the sign of the cross product decides within one half-plane
+    (its directions are less than a half turn apart); linear on input that
+    is nearly sorted already, as the data that mutation produces are.
     """
     out: list = []
-    keys: list[tuple[int, int, int]] = []
+    keys: list[tuple[bool, int, int]] = []
     for item in items:
         x, y = direction_of(item)
-        q = _quadrant((x, y))
+        if x == y == 0:
+            raise ZeroVector("the zero vector has no angle")
+        low = not _upper(x, y)
         k = len(keys)
         while k:  # step back past every entry that (x, y) strictly precedes
-            kq, kx, ky = keys[k - 1]
-            if kq < q or (kq == q and kx * y - ky * x >= 0):
+            klow, kx, ky = keys[k - 1]
+            if klow < low or (klow == low and kx * y - ky * x >= 0):
                 break
             k -= 1
-        keys.insert(k, (q, x, y))
+        keys.insert(k, (low, x, y))
         out.insert(k, item)
     return out

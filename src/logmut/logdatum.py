@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -96,7 +97,7 @@ def validate(raw_edges: Sequence[tuple[Vec, Iterable[int]]]) -> LogDatum:
     DuplicateDirection, or ClosureViolation (all subclasses of InvalidDatum)
     on the first violated invariant, in that order.
     """
-    edges, lengths, directions = [], [], []
+    records = []  # (edge, length, direction)
     sx = sy = 0
     for e_raw, nu_raw in raw_edges:
         e = lattice_vector(e_raw)
@@ -106,14 +107,12 @@ def validate(raw_edges: Sequence[tuple[Vec, Iterable[int]]]) -> LogDatum:
             raise PartitionSumMismatch(
                 f"partition {nu} sums to {sum(nu)}, edge {e} has length {length}"
             )
-        edges.append(Edge(e, nu))
-        lengths.append(length)
-        directions.append(u)
+        records.append((Edge(e, nu), length, u))
         sx += e[0]
         sy += e[1]
 
     seen: set[Vec] = set()
-    for u in directions:
+    for _, _, u in records:
         if u in seen:
             raise DuplicateDirection(f"direction {u} appears more than once")
         seen.add(u)
@@ -121,12 +120,8 @@ def validate(raw_edges: Sequence[tuple[Vec, Iterable[int]]]) -> LogDatum:
     if sx or sy:
         raise ClosureViolation(f"edges sum to {(sx, sy)}, not (0, 0)")
 
-    order = sort_ccw(range(len(edges)), directions.__getitem__)
-    return LogDatum(
-        tuple([edges[i] for i in order]),
-        tuple([lengths[i] for i in order]),
-        tuple([directions[i] for i in order]),
-    )
+    columns = tuple(zip(*sort_ccw(records, itemgetter(2))))  # () if no edges
+    return LogDatum(*(columns or ((), (), ())))
 
 
 def rank(S: LogDatum) -> Rank:

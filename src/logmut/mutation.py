@@ -14,6 +14,11 @@ edges, the mutation is legal when h >= l and then:
      its partition gains a part h - l (nothing is inserted when h == l);
 (3b) otherwise, if d = h - l > 0, a new edge (-d * u_j, (d)) appears.
 
+Edges are counted in the east-first order of lattice.sort_ccw, by angle in
+[0, 2pi) from (1, 0).  A closed cycle has edges in both half-planes [0, pi)
+and [pi, 2pi) and passes from the lower into the upper one once: the first
+edge is the one where it does.
+
 The rules are implemented once, by _edge_moves on flat states; the search
 calls it on states, and mutate() wraps it for LogDatum objects, whose result
 is re-validated and re-sorted counterclockwise.
@@ -23,6 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .errors import IllegalMutation
+from .lattice import _upper
 from .logdatum import LogDatum, _require_rank_two, validate
 
 
@@ -81,9 +87,10 @@ def _edge_moves(
     positive side of u_j comes first (the shear fixes u_j and keeps that
     open half-plane, so it preserves the arc's internal order), then the
     -u_j slot, then the untouched negative side.  That is the
-    counterclockwise cycle, rotated to the angular wrap to restore the
-    east-first cut that mutation indices address.  The sides do not depend
-    on the part removed, so they are built once per edge.
+    counterclockwise cycle, rotated to the east-first cut that mutation
+    indices address: the edge where the cycle passes from the lower
+    half-plane into the upper one (lattice._upper, as in sort_ccw).  The
+    sides do not depend on the part removed, so they are built once per edge.
 
     The back move of a child with d = h - part > 0 removes the part d just
     added to its -u_j edge; it is given as (0-based flat index of that
@@ -92,7 +99,6 @@ def _edge_moves(
     the other side by the same shear as the first move: the result is that
     shear applied to the whole parent, a datum of the parent's class.
     """
-    n = len(state)
     edge = j // 4 + 1
     lj, nuj, ux, uy = state[j : j + 4]
     rest = state[j + 4 :] + state[:j]
@@ -100,7 +106,6 @@ def _edge_moves(
     # height h, and its shear image is the same for every part.
     h = 0
     positive = []
-    wrap = None  # the first sheared edge at an angle in [0, pi)
     k = 0
     it = iter(rest)
     for l, nu, dx, dy in zip(it, it, it, it):
@@ -110,8 +115,6 @@ def _edge_moves(
         h += l * c
         dx += c * ux
         dy += c * uy
-        if wrap is None and (dy > 0 or (dy == 0 and dx > 0)):
-            wrap = k
         positive += (l, nu, dx, dy)
         k += 4
     if c:
@@ -124,7 +127,7 @@ def _edge_moves(
     if trace is not None:  # rule (1) lines, in edge-index order
         sheared = []
         for t in range(0, k, 4):
-            i, l = (j + 4 + t) % n, rest[t]
+            i, l = (j + 4 + t) % len(state), rest[t]
             old = (l * rest[t + 2], l * rest[t + 3])
             new = (l * positive[t + 2], l * positive[t + 3])
             sheared.append((i, f"(1) edge {i // 4 + 1} sheared: {old} -> {new}"))
@@ -141,7 +144,6 @@ def _edge_moves(
             child = [lj - part, tuple(remaining), ux, uy]
         else:
             child = []
-        head = len(child)
         child += positive
         d = h - part
         if opposite is None:
@@ -156,25 +158,14 @@ def _edge_moves(
         tail = len(child)
         child += negative
 
-        # The east-first cut is the edge of least angle in [0, 2pi).  If
-        # u_j lies in [0, pi), all angles up to the -u_j slot lie in
-        # [angle(u_j), 2pi): the cut is the first negative-side edge in
-        # [0, pi) (y > 0, or y == 0 < x), else the start.  Otherwise it
-        # is the first sheared edge in [0, pi), else the next one.
-        if uy > 0 or (uy == 0 and ux > 0):
-            cut = 0
-            for idx in range(tail, len(child), 4):
-                bx, by = child[idx + 2], child[idx + 3]
-                if by > 0 or (by == 0 and bx > 0):
-                    cut = idx
-                    break
-        elif wrap is not None:
-            cut = head + wrap
-        else:
-            cut = head + len(positive)
+        cut = 0  # the east-first cut: the upper-half edge after a lower-half one
+        while _upper(child[cut - 2], child[cut - 1]) or not _upper(
+            child[cut + 2], child[cut + 3]
+        ):
+            cut += 4
         if trace is not None:
             trace += sheared
-            if head:
+            if len(nuj) > 1:
                 shrunk = ((lj - part) * ux, (lj - part) * uy)
                 trace.append(
                     f"(2a) edge {edge} shrinks to {shrunk},"
@@ -185,15 +176,14 @@ def _edge_moves(
             if opposite is not None:
                 lo, _, ox, oy = opposite
                 trace.append(
-                    f"(3a) opposite edge {(j + 4 + k) % n // 4 + 1} grows:"
+                    f"(3a) opposite edge {(j + 4 + k) % len(state) // 4 + 1} grows:"
                     f" {(lo * ox, lo * oy)} -> {((lo + d) * ox, (lo + d) * oy)},"
                     f" partition gains {d if d > 0 else 'nothing'}"
                 )
             elif d:
                 fresh = (-d * ux, -d * uy)
                 trace.append(f"(3b) new edge {fresh} with partition ({d},)")
-        if cut:
-            child = child[cut:] + child[:cut]
+        child = child[cut:] + child[:cut]
         child_back = ((tail - 4 - cut) % len(child), d) if d else None
         out.append((edge, part, tuple(child), child_back))
     return h

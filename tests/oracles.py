@@ -1,17 +1,18 @@
 """Independent reference implementations used to cross-check the library.
 
 These deliberately take different routes than the package code: the
-counterclockwise order as a sort by an exact Fraction slope key instead of
-the package's integer insertion sort, validation in separate passes, the
-legal moves and the mutation rules on LogDatum objects from the height's
-definition instead of the package's flat-state kernel, canonical keys from
-their own Bezout pairs and shears on every base edge instead of pruned bases,
-iterative deepening over those keys and these mutation rules instead of
-breadth-first search, subset enumeration by sizes instead of partial sums,
-numeric sampling with its own derivatives next to Groebner bases, and the
-wall checks on sympy expressions instead of sympy's polynomial rings.  One
-reference shares the package's kernel on purpose: full_layer_search checks
-only where the decider stops.
+counterclockwise order as a sort by an exact Fraction slope key per quarter
+turn instead of the package's half-plane insertion sort, validation in
+separate passes with its own parsing and gcd split, the legal moves and the
+mutation rules on LogDatum objects from the height's definition instead of
+the package's flat-state kernel, canonical keys from their own Bezout pairs
+and shears on every base edge instead of pruned bases, iterative deepening
+over those keys and these mutation rules instead of breadth-first search,
+subset enumeration by sizes instead of partial sums, numeric sampling with
+its own derivatives next to Groebner bases, and the wall checks on sympy
+expressions instead of sympy's polynomial rings.  One reference shares the
+package's kernel on purpose: full_layer_search checks only where the decider
+stops.
 """
 from __future__ import annotations
 
@@ -33,18 +34,17 @@ from logmut import (
     replay,
     sform,
     Vec,
-    primitive_split,
 )
 from logmut.decider import _canonical_key
 from logmut.errors import (
     ClosureViolation,
     DuplicateDirection,
     IllegalMutation,
+    InvalidDatum,
     NotRankTwo,
     PartitionSumMismatch,
     ZeroVector,
 )
-from logmut.logdatum import lattice_vector, normalize_partition
 from logmut.mutation import _expand_state, _state
 
 
@@ -72,15 +72,43 @@ def ccw_key(v: Vec) -> tuple:
     return (q, Fraction(y, x))
 
 
+def _edge_vector(v) -> Vec:
+    """v as a pair of exact ints (bools and floats rejected)."""
+    if type(v) not in (list, tuple) or len(v) != 2 or {type(c) for c in v} != {int}:
+        raise InvalidDatum(f"edge vector {v!r} is not a pair of integers")
+    return tuple(v)
+
+
+def _partition(parts) -> tuple:
+    """The nonzero parts, largest first, after checking every part is a
+    nonnegative exact int."""
+    parts = list(parts)
+    for p in parts:
+        if type(p) is not int:
+            raise InvalidDatum(f"partition part {p!r} is not an integer")
+        if p < 0:
+            raise InvalidDatum(f"partition part {p} is negative")
+    return tuple(sorted(filter(None, parts), reverse=True))
+
+
+def _split(e: Vec) -> tuple[int, Vec]:
+    """(lattice length, primitive direction) of e, by one gcd."""
+    g = gcd(*e)  # nonnegative, and 0 only for (0, 0)
+    if not g:
+        raise ZeroVector("the zero vector has no primitive direction")
+    return g, (e[0] // g, e[1] // g)
+
+
 def validate_reference(raw_edges) -> LogDatum:
     """validate() as a sequence of separate passes: the edge checks, then
     duplicate directions, then closure, then a sort by ccw_key.  Lengths and
-    directions come from one split per edge."""
+    directions come from one split per edge.  Parsing, split and sort are
+    the oracle's own, so no check here shares code with validate."""
     edges = []
     for e_raw, nu_raw in raw_edges:
-        e = lattice_vector(e_raw)
-        nu = normalize_partition(nu_raw)
-        length, u = primitive_split(e)
+        e = _edge_vector(e_raw)
+        nu = _partition(nu_raw)
+        length, u = _split(e)
         if sum(nu) != length:
             raise PartitionSumMismatch(
                 f"partition {nu} sums to {sum(nu)}, edge {e} has length {length}"
@@ -225,7 +253,7 @@ def _is_success(S: LogDatum) -> bool:
 
 
 def iddfs_zero_mutable(
-    S: LogDatum, *, max_depth: int, max_states: int = 10**6
+    S: LogDatum, *, max_depth: int, max_states: int = 10**6, prune: bool = True
 ) -> tuple[str, int | None]:
     """Iterative-deepening search; returns ("yes", shortest length),
     ("no", None) on exhaustion, or ("unknown", None) at the limits.
@@ -235,41 +263,66 @@ def iddfs_zero_mutable(
     first cutoff producing a success equals the shortest certificate length,
     because every shallower success would have appeared in an earlier
     iteration.  An iteration that never hits the cutoff on an expandable
-    state has seen the entire reachable set, proving No.
+    state has seen the entire reachable set, proving No.  An iteration that
+    the pruned pass (see _iddfs_pass) cannot settle within max_states runs
+    again unpruned, so `prune` changes no outcome, only the work.
     """
     if _is_success(S):
         return ("yes", 0)
     for cutoff in range(1, max_depth + 1):
-        best_depth = {min(_candidates(S)): 0}
-        hit_cutoff = False
-        found = False
-        stack: list[tuple[LogDatum, int]] = [(S, 0)]
-        while stack and not found:
-            datum, depth = stack.pop()
-            if len(datum) <= 2:
-                continue  # rank-one dead end: no moves from here
-            if depth == cutoff:
-                if legal_moves(datum):
-                    hit_cutoff = True
-                continue
-            for j, k in legal_moves(datum):
-                child = mutate(datum, j, k)
-                if _is_success(child):
-                    found = True
-                    break
-                key = min(_candidates(child))
-                prev = best_depth.get(key)
-                if prev is not None and prev <= depth + 1:
-                    continue
-                if len(best_depth) >= max_states:
-                    return ("unknown", None)
-                best_depth[key] = depth + 1
-                stack.append((child, depth + 1))
-        if found:
-            return ("yes", cutoff)
-        if not hit_cutoff:
-            return ("no", None)
+        outcome = _iddfs_pass(S, cutoff, max_states, prune)
+        if outcome is None:  # only a pruned pass returns None
+            outcome = _iddfs_pass(S, cutoff, max_states, prune=False)
+        if outcome != "deeper":
+            return outcome
     return ("unknown", None)
+
+
+def _iddfs_pass(S: LogDatum, cutoff: int, max_states: int, prune: bool):
+    """One depth-cutoff DFS of iddfs_zero_mutable: ("yes", cutoff),
+    ("no", None), ("unknown", None) at max_states, or "deeper" when the
+    cutoff was hit on an expandable state.
+
+    With `prune`, once the cutoff has been hit (so No is ruled out), a datum
+    at depth cutoff - 1 with more than three edges is not expanded: a
+    mutation removes at most one edge, as asserted on every mutation here,
+    so none of its children is a success.  Its children would only have
+    been stored, at depth cutoff; their number is at most its move count,
+    summed in `skipped`.  While fewer than max_states classes are stored
+    with those counted in, the unpruned pass could not have stopped at
+    max_states either; when that no longer holds the pass returns None.
+    """
+    best_depth = {min(_candidates(S)): 0}
+    hit_cutoff = False
+    skipped = 0
+    stack: list[tuple[LogDatum, int]] = [(S, 0)]
+    while stack:
+        datum, depth = stack.pop()
+        if len(datum) <= 2:
+            continue  # rank-one dead end: no moves from here
+        moves = legal_moves(datum)
+        if depth == cutoff:
+            hit_cutoff = hit_cutoff or bool(moves)
+            continue
+        if prune and hit_cutoff and depth == cutoff - 1 and len(datum) > 3:
+            skipped += len(moves)
+            if len(best_depth) + skipped >= max_states:
+                return None
+            continue
+        for j, k in moves:
+            child = mutate(datum, j, k)
+            assert len(child) >= len(datum) - 1, (datum, j, k)
+            if _is_success(child):
+                return ("yes", cutoff)
+            key = min(_candidates(child))
+            prev = best_depth.get(key)
+            if prev is not None and prev <= depth + 1:
+                continue
+            if len(best_depth) + skipped >= max_states:
+                return None if skipped else ("unknown", None)
+            best_depth[key] = depth + 1
+            stack.append((child, depth + 1))
+    return "deeper" if hit_cutoff else ("no", None)
 
 
 def full_layer_search(S: LogDatum, *, max_depth: int, max_states: int) -> Verdict:

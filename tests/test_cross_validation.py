@@ -8,10 +8,18 @@ searches take different routes (tuple kernels vs. datum objects), so any
 disagreement points at a real defect in one of them.  A depth-6 pass over the
 reference data covers deeper certificates than the uniform sweep can afford.
 """
+import random
+
 from logmut import an_datum, is_zero_mutable, jerry_datum, tom_datum, validate
 
-from conftest import BOX_COORD_BOUND, BOX_LENGTH_BOUND, SWEEP_DEPTH, box_survey
-from oracles import iddfs_zero_mutable
+from conftest import (
+    BOX_COORD_BOUND,
+    BOX_LENGTH_BOUND,
+    SWEEP_DEPTH,
+    box_survey,
+    random_datum,
+)
+from oracles import _iddfs_pass, iddfs_zero_mutable
 
 FIXED_POINT = validate([((1, 0), (1,)), ((0, 2), (2,)), ((-1, -2), (1,))])
 
@@ -52,6 +60,24 @@ def test_deeper_agreement_on_reference_data():
         assert fast.kind == kind
         if fast.is_yes:
             assert len(fast.certificate.steps) == shortest
+
+
+def test_the_oracle_prune_changes_no_outcome():
+    """The pruned oracle gives the unpruned outcome at every max_states.  On
+    the first datum the pruned pass at cutoff 2 cannot tell for max_states 8
+    to 15, where the unpruned pass returns Unknown up to 13 and Yes from 14:
+    it must run again unpruned."""
+    S = validate([((3, 0), (3,)), ((-1, 3), (1,)), ((-1, -1), (1,)), ((-1, -2), (1,))])
+    assert _iddfs_pass(S, 2, 8, prune=True) is None
+    rng = random.Random(7)
+    cases = [S] + [random_datum(rng, max_edges=6, coord_bound=3) for _ in range(30)]
+    for T in cases:
+        for max_depth in (2, 3):
+            for max_states in (*range(1, 16), 30, 10**6):
+                limits = {"max_depth": max_depth, "max_states": max_states}
+                assert iddfs_zero_mutable(T, **limits) == iddfs_zero_mutable(
+                    T, **limits, prune=False
+                ), (T, limits)
 
 
 def test_survey_fits_the_time_budget():

@@ -4,6 +4,9 @@ Each suite draws at least 500 seeded cases with coordinates bounded by 20 and
 total length bounded by 10, so failures are reproducible.
 """
 import random
+from math import gcd
+
+from hypothesis import assume, given, settings, strategies as st
 
 from logmut import (
     UnimodularMap,
@@ -19,6 +22,7 @@ from logmut import (
     verify_certificate,
 )
 from logmut.decider import _canonical_key
+from logmut.errors import InvalidDatum
 from logmut.lattice import primitive_split
 from logmut.mutation import _expand_state, _state
 
@@ -140,6 +144,31 @@ def test_search_children_are_the_validated_mutations():
             for edge, part, child, _ in _expand_state(_state(S)):
                 k = S.edges[edge - 1].nu.index(part) + 1
                 assert child == _state(oracles.mutate(S, edge, k))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_an_oracle_mutation_removes_at_most_one_edge(data):
+    """The lemma behind the IDDFS oracle's prune, on the oracle's own
+    validate_reference and mutate: no child of a datum with more than three
+    edges is a success (two edges)."""
+    coords = st.integers(-4, 4)
+    vectors = data.draw(st.lists(st.tuples(coords, coords), min_size=2, max_size=5))
+    vectors.append((-sum(x for x, _ in vectors), -sum(y for _, y in vectors)))
+    raw = []
+    for x, y in vectors:
+        parts, rest = [], gcd(x, y)
+        while rest:
+            parts.append(data.draw(st.integers(1, rest)))
+            rest -= parts[-1]
+        raw.append(((x, y), parts))
+    try:
+        S = oracles.validate_reference(raw)
+    except InvalidDatum:
+        assume(False)
+    assume(len(S) > 2)
+    for j, k in oracles.legal_moves(S):
+        assert len(oracles.mutate(S, j, k)) >= len(S) - 1, (S, j, k)
 
 
 def test_canonical_form_is_idempotent_and_invariant():

@@ -694,8 +694,12 @@ def resultants(monkeypatch):
 def test_each_factor_pair_is_decided_once(resultants, monkeypatch):
     """After synthesis, the checks and the controls that share its factor
     objects, or hold equal copies of each wall's last factor, take no
-    resultant again; fresh copies of all the factors take one per pair.  Synthesized factors keep their ring elements, so none of them is
-    converted to _UX again."""
+    resultant again; fresh copies of all the factors take one per pair.
+    Synthesized factors keep their ring elements, so none of them is
+    converted to _UX again.  The module-level U, which a control multiplies
+    in, is converted before counting starts, so the count does not depend on
+    which tests ran before this one."""
+    U._ux  # noqa: B018 - cache U's ring element now
     converted = []
     real_in_ux = wallfn._in_ux
     monkeypatch.setattr(wallfn, "_in_ux", lambda f: converted.append(f) or real_in_ux(f))
