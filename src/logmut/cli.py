@@ -8,8 +8,9 @@ existing file path is read as JSON; otherwise it must be a named datum
 
 Exit codes:
   0  success (decide: verdict Yes)
-  1  I/O or parse error (bad JSON, unknown name, bad polynomial text, an
-     integer option other than ASCII digits with an optional leading minus),
+  1  I/O or parse error (bad JSON, JSON nested too deeply to parse, unknown
+     name, bad polynomial text, an integer option other than ASCII digits
+     with an optional leading minus),
      render --scale below 1, render --lattice-points over a bounding box of
      more than 10**5 lattice points
   2  invalid datum or edge list (An(n) with n > 10**6 too), wall assignment
@@ -422,7 +423,7 @@ def main(argv=None) -> int:
     except LogMutError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         # str() of a KeyError is the repr of its argument; print it bare
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)

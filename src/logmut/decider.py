@@ -197,14 +197,14 @@ def is_zero_mutable(
 
     Yes carries a shortest certificate.  No is returned only when the
     reachable class set was exhausted within the limits.  Unknown reports a
-    hit limit.  Among same-layer successes the tie-break prefers a terminal
-    equal to the canonical representative of its class, then discovery
-    order.  Parents are expanded one at a time, so the first canonical
-    success ends the layer and the parents after it are never expanded.
-    On No and Unknown, `explored` counts the classes visited when the
-    verdict is reached: in the layer at max_depth without a success, the
-    first new class with three or more edges settles Unknown, so that layer
-    is not visited in full.
+    hit limit.  Each layer first lists its successes, which only its
+    three-edge parents can give; the tie-break prefers a terminal equal to
+    the canonical representative of its class, then discovery order.  The
+    layer's pass then stops at the first success, and Yes counts in
+    `explored` the classes visited up to it.  On No and Unknown, `explored`
+    counts the classes visited when the verdict is reached: in the layer at
+    max_depth without a success, the first new class with three or more
+    edges settles Unknown, so that layer is not visited in full.
 
     Only the frontier keeps its states; every class on it keeps just its
     parent's index and the move that reached it, which is all a
@@ -226,59 +226,55 @@ def is_zero_mutable(
         if depth >= max_depth:
             return Verdict.unknown(len(visited), depth)
         depth += 1
-        # At max_depth the classes this layer stores are never expanded.
         # A mutation removes at most one edge, so a success comes only from
-        # a three-edge parent.  Without one, the first new rank-two class
-        # settles Unknown and an exhausted layer settles No: the verdicts
-        # that storing the whole layer gives.
-        last = depth == max_depth and not any(
-            len(child) == 8 and child[1] == child[5]
-            for state, back in zip(frontier, backs)
-            if len(state) == 12
-            for _, _, child, _ in _expand_state(state, back)
-        )
-
-        # Selection among same-layer successes: the first one whose
-        # terminal is its own canonical representative, else the first
-        # one at all, scanning parents in discovery order and moves in
-        # expansion order.  Once any success is in hand the remaining
-        # children no longer need dedup (the search returns either way),
-        # and a canonical hit ends the layer outright.
-        success = None
+        # a three-edge parent: parents in discovery order, moves in
+        # expansion order.
         first = len(parent_of) - len(frontier)  # index of frontier[0]
+        successes = [
+            (node, edge, part, child)
+            for node, state, back in zip(count(first), frontier, backs)
+            if len(state) == 12
+            for edge, part, child, _ in _expand_state(state, back)
+            if len(child) == 8 and child[1] == child[5]
+        ]
+        # At max_depth the classes this layer stores are never expanded.
+        # Without a success, the first new rank-two class settles Unknown
+        # and an exhausted layer settles No: the verdicts that storing the
+        # whole layer gives.
+        last = depth == max_depth and not successes
+
         next_frontier: list[tuple] = []
         next_backs: list[Optional[tuple]] = []
         for node, state, parent_back in zip(count(first), frontier, backs):
             for edge, part, child, back in _expand_state(state, parent_back):
-                if len(child) == 8 and child[1] == child[5]:  # success
-                    # The key of a rank-one (l*u, nu), (-l*u, nu) is
-                    # (l, 0, nu, -l, 0, nu): the child is its own
-                    # canonical representative exactly when u = (1, 0).
-                    if success is None or child[3] == 0:
-                        success = (node, edge, part, child)
-                    if child[3] == 0:
-                        break
-                elif success is None:
-                    explored = len(visited)
-                    visited.add(_canonical_key(child))
-                    if len(visited) == explored:
-                        continue
-                    if explored >= max_states:
-                        return Verdict.unknown(explored, depth)
-                    if len(child) > 8:
-                        if last:
-                            return Verdict.unknown(len(visited), depth)
-                        next_frontier.append(child)
-                        next_backs.append(back)
-                        parent_of.append(node)
-                        edge_of.append(edge)
-                        part_of.append(part)
+                if len(child) == 8 and child[1] == child[5]:
+                    break  # the first success: `explored` counts up to it
+                explored = len(visited)
+                visited.add(_canonical_key(child))
+                if len(visited) == explored:
+                    continue
+                if explored >= max_states:
+                    return Verdict.unknown(explored, depth)
+                if len(child) > 8:
+                    if last:
+                        return Verdict.unknown(len(visited), depth)
+                    next_frontier.append(child)
+                    next_backs.append(back)
+                    parent_of.append(node)
+                    edge_of.append(edge)
+                    part_of.append(part)
             else:
                 continue
-            break  # the canonical success
+            break
 
-        if success is not None:
-            node, edge, part, final_state = success
+        if successes:
+            # The first success whose terminal is its own canonical
+            # representative, else the first one.  The key of a rank-one
+            # (l*u, nu), (-l*u, nu) is (l, 0, nu, -l, 0, nu): the child is
+            # its own representative exactly when u = (1, 0).
+            node, edge, part, final_state = next(
+                (s for s in successes if s[3][3] == 0), successes[0]
+            )
             steps = [CertStep(edge, part)]
             while node:
                 steps.append(CertStep(edge_of[node], part_of[node]))

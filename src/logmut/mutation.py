@@ -20,8 +20,9 @@ and [pi, 2pi) and passes from the lower into the upper one once: the first
 edge is the one where it does.
 
 The rules are implemented once, by _edge_moves on flat states; the search
-calls it on states, and mutate() wraps it for LogDatum objects, whose result
-is re-validated and re-sorted counterclockwise.
+calls it on states, legal_mutations lists its moves, and mutate() wraps it
+for LogDatum objects, whose result is re-validated and re-sorted
+counterclockwise.
 """
 from __future__ import annotations
 
@@ -38,24 +39,13 @@ class MutationIndex(NamedTuple):
 
 
 def legal_mutations(S: LogDatum) -> list[MutationIndex]:
-    """All legal (j, k), one k per distinct part value of each edge.
-
-    Mutating equal parts gives equal results, so only the first index of each
-    value is listed.  Heights come from the kernel, given no parts to mutate.
-    """
+    """All legal (j, k), one k per distinct part value of each edge: the
+    kernel's moves, each value given by the index of its first part."""
     _require_rank_two(S)
-    state = _state(S)
-    moves = []
-    for j, edge in enumerate(S.edges, start=1):
-        h = _edge_moves(state, 4 * (j - 1), (), [])
-        seen = set()
-        for k, part in enumerate(edge.nu, start=1):
-            if part in seen:
-                continue
-            seen.add(part)
-            if h >= part:
-                moves.append(MutationIndex(j, k))
-    return moves
+    return [
+        MutationIndex(j, part_index(S, j, part))
+        for j, part, _, _ in _expand_state(_state(S))
+    ]
 
 
 # A state is a datum as one flat tuple (l, nu, dx, dy, l, nu, dx, dy, ...):
@@ -232,7 +222,7 @@ def _mutate_part(S: LogDatum, j: int, part: int, trace: Optional[list]) -> LogDa
     edge j's parts), through the state kernel and re-validated."""
     children: list = []
     h = _edge_moves(_state(S), 4 * (j - 1), (part,), children, trace)
-    if h < part:
+    if not children:
         raise IllegalMutation(
             f"mutation at edge {j}, part {part} is illegal: height h = {h} < {part}"
         )

@@ -102,6 +102,25 @@ def test_validate_rejects_unknown_name_and_bad_json(capsys, tmp_path):
     assert code == 1
 
 
+def test_deeply_nested_json_exits_1_at_every_entry_point(capsys, tmp_path, monkeypatch):
+    """JSON nested deeper than the parser's recursion limit is a parse error
+    (exit 1) wherever a document is read, not a RecursionError traceback."""
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    monkeypatch.setattr("sys.stdin", io.StringIO(deep))
+    for argv in (
+        ("validate", str(path)),
+        ("validate", "-"),
+        ("enumerate", "--edges", str(path)),
+        ("enumerate", "--edges", deep),
+        ("report", "Tom", "--walls", str(path)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv[:2]
+        assert err.startswith("error: ") and "Traceback" not in err, argv[:2]
+
+
 def test_unknown_name_in_a_datum_document_prints_its_message_bare(capsys, tmp_path, monkeypatch):
     """The KeyError of an unknown name reaches stderr without repr quotes,
     from stdin and from a file; exit 1."""

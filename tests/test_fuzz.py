@@ -3,8 +3,9 @@ ill-shaped, is either accepted or rejected with a LogMutError or (for text
 that does not parse) a ValueError, which the CLI maps to a documented exit
 code, never with a traceback.
 
-Name strings come from a short fixed list: a name such as An(10**8) is
-valid and builds a partition of that size, which is a separate bound.
+Name strings come from a short fixed list: a name such as An(10**6) is
+valid and builds a partition of over a million parts (An(n) with n > 10**6
+is refused, exit 2), a cost bounded separately.
 """
 from hypothesis import HealthCheck, given, settings, strategies as st
 

@@ -136,14 +136,18 @@ def test_search_children_are_the_validated_mutations():
     """The search takes the kernel's children as they are, with no
     validate: each must already be the state of the validated datum, cut
     east-first with sorted partitions, or certificates would address the
-    wrong edges."""
+    wrong edges.  Each child also has at most one edge fewer than its
+    parent, the lemma by which the search takes successes only from
+    three-edge parents."""
     rng = random.Random(608)
     for bound in (2, 20):
         for _ in range(CASES):
             S = random_datum(rng, max_edges=6, coord_bound=bound)
-            for edge, part, child, _ in _expand_state(_state(S)):
+            state = _state(S)
+            for edge, part, child, _ in _expand_state(state):
                 k = S.edges[edge - 1].nu.index(part) + 1
                 assert child == _state(oracles.mutate(S, edge, k))
+                assert len(child) >= len(state) - 4
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
