@@ -288,14 +288,18 @@ def is_smooth_curve(f: BiPoly) -> bool:
 
 
 def _decide_smooth(p) -> bool:
-    """is_smooth_curve for the _UX element p: no basis is computed when a
-    nonzero constant among f, df/dx, df/du (df/dx of u^v + gamma*x)
-    generates Q[x, u] by itself."""
+    """is_smooth_curve for the _UX element p.  No basis is computed when a
+    nonzero constant among f, df/dx, df/du (df/dx of u^v + gamma*x) generates
+    Q[x, u] by itself, or when p = A(u) + B(u)*x with A one nonzero term c*u^k
+    and B(0) != 0: a singular point needs B(u0) = 0, then A(u0) = 0, so
+    u0 = 0, against B(0) != 0."""
     # groebner() divides by its generators, so zeros are left out (f = 0
     # leaves none, and the empty basis is not [1]).  df/dx goes before
-    # df/du: small bases come out sooner.
+    # df/du: small bases come out sooner.  A _UX monomial is (du, dx).
     gens = [g for g in (p, p.diff(1), p.diff(0)) if g]
-    return any(g.is_ground for g in gens) or groebner(gens, _UX) == [_UX.one]
+    return (any(g.is_ground for g in gens)
+            or p.degree(1) == 1 and (0, 1) in p and sum(not dx for _, dx in p) == 1
+            or groebner(gens, _UX) == [_UX.one])
 
 
 def _in_ux(f: BiPoly):
@@ -316,17 +320,25 @@ def _resultant_u(f, g):
     """Res_u(f, g) of two _UX elements, with the len() and as_expr() of
     f.resultant(g).
 
-    When d = g - f is free of u and m = deg_u f >= 1, reducing g by f leaves
-    d, so Res_u(f, g) = lc_u(f)^m * Res_u(f, d) = (lc_u(f) * d)^m
-    (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 3 §6); this
-    covers every pair of equal part value the synthesizer draws.  Every other
-    pair goes to sympy's resultant.
+    Two closed forms come from the reduction Res_u(f, g) = lc_u(f)^(deg_u g -
+    deg_u r) * Res_u(f, r) for g = q*f + r, and Res_u(f, r) = r^(deg_u f) for
+    r free of u (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 3
+    §6).  Equal part values: when d = g - f is free of u and m = deg_u f >= 1,
+    Res_u(f, g) = (lc_u(f) * d)^m.  Towers: when f and g are p and q in some
+    order, deg_u p = k > l = deg_u q >= 1 and q's leading monomial is u^l,
+    lc_u(q) is a constant c and p.rem(q) is the remainder r of division in
+    u; if r is free of u, Res_u(p, q) = (-1)^(kl) * c^k * r^l.  sympy puts
+    the argument of higher u-degree first, so that is f.resultant(g) in
+    either order.  Every other pair goes to sympy's resultant.
     """
     d = g - f
-    m = f.degree(0)
+    m, n = f.degree(0), g.degree(0)
     if m >= 1 and d.degree(0) <= 0:
         lc = _UX.from_dict({(0, dx): c for (du, dx), c in f.items() if du == m})
         return (lc * d) ** m
+    (k, p), (l, q) = ((m, f), (n, g)) if m > n else ((n, g), (m, f))
+    if 1 <= l < k and q.LM == (l, 0) and (r := p.rem(q)).degree(0) <= 0:
+        return (-1) ** (k * l) * r ** l * q.LC ** k
     return f.resultant(g)
 
 

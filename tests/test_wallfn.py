@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.rings import PolyElement
 
 import oracles
 from logmut import (
@@ -493,16 +494,47 @@ def bases(monkeypatch):
     return calls
 
 
+def random_linear_in_x(rng: random.Random):
+    """Pairs (kind, A(u) + B(u)*x) with B non-constant, so that none of f,
+    df/dx, df/du is a nonzero constant.  Kind "settled": A one nonzero term
+    c*u^k and B(0) != 0.  The others miss one condition: B(0) = 0, A = 0, or
+    A of two terms."""
+    def coefficient():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+
+    kinds = (("settled", 1, 1.0), ("B(0) = 0", 1, 0.0), ("A = 0", 0, 0.8), ("two-term A", 2, 0.8))
+    for _ in range(40):
+        for kind, a_terms, b0_odds in kinds:
+            A = {(0, k): coefficient() for k in rng.sample(range(6), a_terms)}
+            B = {(1, j): coefficient() for j in rng.sample(range(1, 5), rng.randint(1, 2))}
+            if rng.random() < b0_odds:
+                B[(1, 0)] = coefficient()
+            yield kind, BiPoly.from_terms({**A, **B})
+
+
 def test_smoothness_edge_cases_match_the_expr_reference(bases):
     """A nonzero constant among f, df/dx, df/du settles smoothness without a
-    Groebner basis; the zero polynomial and the cusp still compute one."""
+    Groebner basis, and so does A(u) + B(u)*x with A one nonzero term and
+    B(0) != 0; the zero polynomial, the cusp and linear factors that miss a
+    condition of that rule still compute one."""
     cases = {"0": False, "3": True, "x": True, "u + x^2": True,
-             "u^3 + 2*x": True, "u^2 - x^3": False}
+             "u^3 + 2*x": True, "u^2 - x^3": False, "u^3 + 2*u^2*x - 3*x": True,
+             "u^3 + 2*u^2*x": False, "u*x - 3*x": False, "u^2 - u + u*x - x": False}
+    settled = ("3", "x", "u + x^2", "u^3 + 2*x", "u^3 + 2*u^2*x - 3*x")
     for text, smooth in cases.items():
         bases.clear()
         assert is_smooth_curve(P(text)) is smooth, text
         assert oracles.is_smooth_curve(P(text)) is smooth, text
-        assert len(bases) == (text in ("0", "u^2 - x^3")), text
+        assert len(bases) == (text not in settled), text
+    rng = random.Random(41)
+    verdicts = {}
+    for kind, f in random_linear_in_x(rng):
+        bases.clear()
+        assert is_smooth_curve(f) is oracles.is_smooth_curve(f), f
+        assert len(bases) == (kind != "settled"), (kind, f)
+        verdicts.setdefault(kind, set()).add(is_smooth_curve(f))
+    assert verdicts["settled"] == {True} and verdicts["A = 0"] == {False}
+    assert verdicts["B(0) = 0"] == verdicts["two-term A"] == {True, False}, verdicts
 
 
 def random_u_free_pairs(rng: random.Random):
@@ -523,12 +555,49 @@ def random_u_free_pairs(rng: random.Random):
         yield BiPoly.from_terms(f), BiPoly.from_terms(g), BiPoly.from_terms(d)
 
 
-def test_resultant_closed_form_matches_sympy():
+def random_tower_pairs(rng: random.Random):
+    """Triples (f, g, r) with f = q*g + r: g = c*u^n plus terms of lower
+    u-degree and total degree at most n (so u^n leads g in grevlex), with n in
+    1..4 and c a constant that is rarely 1; q of u-degree 1..3, so deg_u f >
+    n; and r in Q[x] zero, a nonzero constant, or several x-terms."""
+    def coefficient():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+
+    for _ in range(120):
+        n = rng.randint(1, 4)
+        lower = [(a, b) for a in range(n + 1) for b in range(n) if a + b <= n]
+        g = {k: coefficient() for k in rng.sample(lower, rng.randint(1, min(3, len(lower))))}
+        g[(0, n)] = coefficient()
+        q = {(rng.randint(0, 2), rng.randint(0, 3)): coefficient() for _ in range(rng.randint(0, 2))}
+        q[(rng.randint(0, 1), rng.randint(1, 3))] = coefficient()
+        r = rng.choice(({}, {(0, 0): coefficient()},
+                        {(a, 0): coefficient() for a in rng.sample(range(4), rng.randint(2, 3))}))
+        qg = dict((BiPoly.from_terms(q) * BiPoly.from_terms(g)).terms)
+        f = {k: qg.get(k, 0) + r.get(k, 0) for k in qg.keys() | r.keys()}
+        yield BiPoly.from_terms(f), BiPoly.from_terms(g), BiPoly.from_terms(r)
+
+
+@pytest.fixture
+def sympy_resultants(monkeypatch):
+    """The ring element pairs sympy's resultant is called on, one per call."""
+    calls = []
+    real = PolyElement.resultant
+
+    def counting_resultant(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(PolyElement, "resultant", counting_resultant)
+    return calls
+
+
+def test_resultant_closed_form_matches_sympy(sympy_resultants):
     """_resultant_u against sympy's resultant on expressions and on the ring:
-    u-free differences in both argument orders, and the fallbacks (unequal
-    u-degrees, a u-free f)."""
+    u-free differences and tower pairs in both argument orders, which take no
+    sympy resultant, and the fallbacks (pairs with a common factor, some of
+    which the tower rule settles, and a u-free f)."""
     rng = random.Random(13)
-    pairs = []
+    closed = []
     shapes = {"lc_u not 1": 0, "odd m": 0, "constant d": 0, "d with x": 0}
     for f, g, d in random_u_free_pairs(rng):
         m = max(du for (_, du), _ in f.terms)
@@ -536,16 +605,31 @@ def test_resultant_closed_form_matches_sympy():
         shapes["odd m"] += m % 2
         shapes["constant d"] += [k for k, _ in d.terms] == [(0, 0)]
         shapes["d with x"] += any(dx for (dx, _), _ in d.terms)
-        pairs += [(f, g), (g, f)]
+        closed += [(f, g), (g, f)]
+    assert min(shapes.values()) >= 15, shapes
+    shapes = {"odd m*n": 0, "c not 1": 0, "zero r": 0, "r with x-terms": 0}
+    for f, g, r in random_tower_pairs(rng):
+        m, n = (max(du for (_, du), _ in h.terms) for h in (f, g))
+        shapes["odd m*n"] += m * n % 2
+        shapes["c not 1"] += dict(g.terms)[(0, n)] != 1
+        shapes["zero r"] += r.is_zero()
+        shapes["r with x-terms"] += sum(dx > 0 for (dx, _), _ in r.terms) >= 2
+        closed += [(f, g), (g, f)]
     assert min(shapes.values()) >= 15, shapes
     fallbacks = [(f, f * P("u + x")) for f, _, _ in random_u_free_pairs(rng)][:40]
     fallbacks += [(P("x^2 - 3"), P("u^2 + x")), (P("2*x"), P("u^3 - x")), (P("5"), P("u + 1"))]
     fallbacks += [(g, f) for f, g in fallbacks]
-    for f, g in pairs + fallbacks:
+    fell_back = 0
+    for k, (f, g) in enumerate(closed + fallbacks):
         p, q = wallfn._in_ux(f), wallfn._in_ux(g)
-        res, ring = wallfn._resultant_u(p, q), p.resultant(q)
+        sympy_resultants.clear()
+        res = wallfn._resultant_u(p, q)
+        assert k >= len(closed) or sympy_resultants == [], (f, g)
+        fell_back += len(sympy_resultants)
+        ring = p.resultant(q)
         assert str(res.as_expr()) == str(ring.as_expr()) == str(oracles.resultant_u(f, g)), (f, g)
         assert len(res) == len(ring), (f, g)
+    assert fell_back >= 40, fell_back
 
 
 def _controls(S, W, rng):
@@ -724,6 +808,19 @@ def test_each_factor_pair_is_decided_once(resultants, monkeypatch):
     assert duplicates >= 10
 
 
+def test_tower_walls_take_no_sympy_resultant(sympy_resultants):
+    """The closed forms settle every pair of a synthesized wall, of equal or
+    of unequal part values: synthesis and is_generic after it never call
+    sympy's resultant."""
+    unequal = 0
+    for seed, raw in enumerate(TOWER_DATA, start=1):
+        S = validate(raw)
+        W = generic_wall_assignment(S, seed)
+        assert is_generic(S, W) and sympy_resultants == [], raw
+        unequal += sum(len(set(nu)) > 1 for _, nu in raw)
+    assert unequal >= 5
+
+
 def test_is_subordinate_takes_no_resultant(resultants):
     """is_subordinate alone decides no factor pair, even on fresh copies whose
     pair verdicts are not kept yet; is_generic checks subordination before
@@ -797,17 +894,31 @@ def _has_constant_generator(f: BiPoly) -> bool:
     return any(p and set(p) == {(0, 0)} for p in (terms, *oracles.derivatives(terms)))
 
 
-def test_groebner_runs_only_without_a_constant_generator(bases):
-    skipped = 0
+def _linear_rule_settles(f: BiPoly) -> bool:
+    """f = A(u) + B(u)*x with A one nonzero term and B(0) != 0."""
+    terms = dict(f.terms)
+    return (max((dx for dx, _ in terms), default=0) == 1 and (1, 0) in terms
+            and sum(dx == 0 for dx, _ in terms) == 1)
+
+
+def test_groebner_runs_only_where_no_closed_form_settles_smoothness(bases):
+    """Synthesis computes one basis for each factor that neither a constant
+    generator nor the linear rule settles, and for no other factor."""
+    skipped = linear = hard_total = 0
     for seed, raw in enumerate(TOWER_DATA, start=1):
         S = validate(raw)
         bases.clear()
         W = generic_wall_assignment(S, seed)
         distinct = {f for wall in W.factors for f in wall}
-        hard = [f for f in distinct if not _has_constant_generator(f)]
-        assert len(bases) == len(hard), raw
+        hard = [f for f in distinct
+                if not (_has_constant_generator(f) or _linear_rule_settles(f))]
+        assert sorted(str(gens[0]) for gens in bases) == sorted(str(f._ux) for f in hard), raw
         skipped += len(distinct) - len(hard)
-    assert skipped > 50  # most factors are u^v + gamma*x, with df/dx = gamma
+        linear += sum(not _has_constant_generator(f) for f in distinct) - len(hard)
+        hard_total += len(hard)
+    # Most factors are u^v + gamma*x, with df/dx = gamma; the second level of
+    # a tower is u^v + (gamma'*u^w + gamma)*x; (4, 2, 1, 1) goes higher.
+    assert skipped > 100 and linear >= 8 and hard_total >= 2, (skipped, linear, hard_total)
 
 
 def test_wall_documents_bound_the_groebner_degree(bases):
@@ -817,7 +928,7 @@ def test_wall_documents_bound_the_groebner_degree(bases):
     program builds, and is_smooth_curve, are not bounded."""
     assert wallfn.MAX_GROEBNER_DEGREE == 10
     cusp = P("u^2 - x^3")
-    for f in (P("u^11 + u^10*x + x"), P("u^2*x^9 + u + x^2*u"), cusp * cusp * cusp * cusp,
+    for f in (P("u^11 + u^9*x^2 + x"), P("u^2*x^9 + u + x^2*u"), cusp * cusp * cusp * cusp,
               P("u^12 + x"), P("x^20 + u")):
         degree = max(dx + du for (dx, du), _ in f.terms)
         for doc in ({"walls": [["u"], [format_bipoly(f)]]}, [[bipoly_to_obj(f), "u"]]):
@@ -825,7 +936,7 @@ def test_wall_documents_bound_the_groebner_degree(bases):
                 WallAssignment.from_obj(doc)
     WallAssignment.from_obj([["u^10 + u^9*x + x", "x^10 + u"]])
     assert bases == []
-    assert is_smooth_curve(P("u^11 + u^10*x + x")) and len(bases) == 1
+    assert is_smooth_curve(P("u^11 + u^9*x^2 + x")) and len(bases) == 1
     tower = validate([((12, 0), (11, 1)), ((0, 1), (1,)), ((-12, -1), (1,))])
     W = generic_wall_assignment(tower, seed=1)
     assert max(sum(k) for f in W.factors[0] for k, _ in f.terms) == 11
