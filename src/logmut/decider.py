@@ -197,18 +197,10 @@ def is_zero_mutable(
 
     Yes carries a shortest certificate.  No is returned only when the
     reachable class set was exhausted within the limits.  Unknown reports a
-    hit limit.  Each layer first lists its successes, which only its
-    three-edge parents can give; the tie-break prefers a terminal equal to
-    the canonical representative of its class, then discovery order.  The
-    layer's pass then stops at the first success, and Yes counts in
-    `explored` the classes visited up to it.  On No and Unknown, `explored`
-    counts the classes visited when the verdict is reached: in the layer at
-    max_depth without a success, the first new class with three or more
-    edges settles Unknown, so that layer is not visited in full.
-
-    Only the frontier keeps its states; every class on it keeps just its
-    parent's index and the move that reached it, which is all a
-    certificate needs.
+    hit limit.  `explored` counts the classes visited when the verdict is
+    reached: on Yes, up to the layer's first success; in the layer at
+    max_depth without a success, up to its first new class with three or
+    more edges, which settles Unknown.
     """
     if not isinstance(S, LogDatum):
         raise InvalidDatum("is_zero_mutable expects a validated LogDatum")
@@ -217,81 +209,89 @@ def is_zero_mutable(
 
     root = _state(S)
     visited = {_canonical_key(root)}
-    # Per frontier class, by index (0 is the root): parent index and move.
-    # The current frontier holds the last len(frontier) indices.
-    parent_of, edge_of, part_of = [0], [0], [0]
+    # Only the frontier keeps its states.  A class once on a frontier keeps,
+    # flat by index (0 is the root), its parent's index and the move that
+    # reached it; the current frontier holds the last len(frontier) indices.
+    links = [0, 0, 0]
     frontier, backs = [root], [None]
     depth = 0
     while frontier:
+        # Reached only when max_depth < 1: the layer at max_depth keeps none.
         if depth >= max_depth:
             return Verdict.unknown(len(visited), depth)
         depth += 1
-        # A mutation removes at most one edge, so a success comes only from
-        # a three-edge parent: parents in discovery order, moves in
-        # expansion order.
-        first = len(parent_of) - len(frontier)  # index of frontier[0]
-        successes = [
-            (node, edge, part, child)
-            for node, state, back in zip(count(first), frontier, backs)
-            if len(state) == 12
-            for edge, part, child, _ in _expand_state(state, back)
-            if len(child) == 8 and child[1] == child[5]
-        ]
-        # At max_depth the classes this layer stores are never expanded.
-        # Without a success, the first new rank-two class settles Unknown
-        # and an exhausted layer settles No: the verdicts that storing the
-        # whole layer gives.
-        last = depth == max_depth and not successes
-
-        next_frontier: list[tuple] = []
-        next_backs: list[Optional[tuple]] = []
-        for node, state, parent_back in zip(count(first), frontier, backs):
-            for edge, part, child, back in _expand_state(state, parent_back):
-                if len(child) == 8 and child[1] == child[5]:
-                    break  # the first success: `explored` counts up to it
-                explored = len(visited)
-                visited.add(_canonical_key(child))
-                if len(visited) == explored:
-                    continue
-                if explored >= max_states:
-                    return Verdict.unknown(explored, depth)
-                if len(child) > 8:
-                    if last:
-                        return Verdict.unknown(len(visited), depth)
-                    next_frontier.append(child)
-                    next_backs.append(back)
-                    parent_of.append(node)
-                    edge_of.append(edge)
-                    part_of.append(part)
-            else:
-                continue
-            break
-
+        layer = _layer(frontier, backs, visited, links, depth, max_states,
+                       keep=depth < max_depth)
+        if isinstance(layer, Verdict):
+            return layer
+        successes, frontier, backs = layer
         if successes:
-            # The first success whose terminal is its own canonical
-            # representative, else the first one.  The key of a rank-one
-            # (l*u, nu), (-l*u, nu) is (l, 0, nu, -l, 0, nu): the child is
-            # its own representative exactly when u = (1, 0).
-            node, edge, part, final_state = next(
-                (s for s in successes if s[3][3] == 0), successes[0]
-            )
-            steps = [CertStep(edge, part)]
-            while node:
-                steps.append(CertStep(edge_of[node], part_of[node]))
-                node = parent_of[node]
-            steps.reverse()
-            # Rebuild the terminal by replaying the path through mutate, which
-            # re-validates every intermediate: this checks the kernel's
-            # east-first cut against validate's counterclockwise sort.
-            terminal = replay(S, Certificate(tuple(steps), S))
-            if _state(terminal) != final_state:
-                raise RuntimeError(
-                    "the search's states diverged from the validated data"
-                )
-            cert = Certificate(tuple(steps), terminal)
-            return Verdict.yes(cert, explored=len(visited))
-        frontier, backs = next_frontier, next_backs
+            return Verdict.yes(_certificate(S, successes, links), len(visited))
     return Verdict.no(len(visited), depth)
+
+
+def _layer(frontier: list, backs: list, visited: set, links: list,
+           depth: int, max_states: int, keep: bool):
+    """Expand one layer: (successes, next frontier, next backs), or the
+    Unknown verdict that stopped it.
+
+    The successes are the rank-one children with equal partitions of the
+    three-edge parents (a mutation removes at most one edge), parents in
+    discovery order and moves in expansion order.  The pass that adds new
+    classes to `visited` stops at the first of them.  The keep rule: with
+    `keep`, each new class with three or more edges joins the next
+    frontier; without it (at max_depth) none does, and in a layer with no
+    success the first one settles Unknown, as it rules out No.
+    """
+    first = len(links) // 3 - len(frontier)  # index of frontier[0]
+    successes = [
+        (node, edge, part, child)
+        for node, state, back in zip(count(first), frontier, backs)
+        if len(state) == 12
+        for edge, part, child, _ in _expand_state(state, back)
+        if len(child) == 8 and child[1] == child[5]
+    ]
+    stop = successes[0][3] if successes else ()
+    last = not keep and not successes
+    next_frontier, next_backs = [], []
+    for node, state, parent_back in zip(count(first), frontier, backs):
+        for edge, part, child, back in _expand_state(state, parent_back):
+            if child == stop:  # an equal earlier child would be a success too
+                return successes, next_frontier, next_backs
+            explored = len(visited)
+            visited.add(_canonical_key(child))
+            if len(visited) == explored:
+                continue
+            if explored >= max_states:
+                return Verdict.unknown(explored, depth)
+            if len(child) > 8:
+                if last:
+                    return Verdict.unknown(len(visited), depth)
+                next_frontier.append(child)
+                next_backs.append(back)
+                links += (node, edge, part)
+    return successes, next_frontier, next_backs
+
+
+def _certificate(S: LogDatum, successes: list, links: list) -> Certificate:
+    """The chosen success's path from the parent links, replayed from S."""
+    # The first success whose terminal is its own canonical representative,
+    # else the first one.  A rank-one (l*u, nu), (-l*u, nu) has the key
+    # (l, 0, nu, -l, 0, nu), so it is its own exactly when u = (1, 0).
+    node, edge, part, final_state = next(
+        (s for s in successes if s[3][3] == 0), successes[0]
+    )
+    steps = [CertStep(edge, part)]
+    while node:
+        node, edge, part = links[3 * node : 3 * node + 3]
+        steps.append(CertStep(edge, part))
+    steps.reverse()
+    # Replaying the path through mutate re-validates every intermediate:
+    # this checks the kernel's east-first cut against validate's sort.
+    terminal = replay(S, Certificate(tuple(steps), S))
+    if _state(terminal) != final_state:
+        raise RuntimeError("the search's states diverged from the validated data")
+    return Certificate(tuple(steps), terminal)
 
 
 def replay(S: LogDatum, cert: Certificate) -> LogDatum:

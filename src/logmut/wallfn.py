@@ -317,28 +317,28 @@ def _from_ux(p) -> BiPoly:
 
 
 def _resultant_u(f, g):
-    """Res_u(f, g) of two _UX elements, with the len() and as_expr() of
-    f.resultant(g).
+    """Res_u(f, g) of two _UX elements: the Sylvester determinant of f and g
+    in u, in that order.  For m = deg_u f < n = deg_u g it is (-1)^(mn) *
+    Res_u(g, f), so the rules below, like sympy's resultant, see m >= n.
 
     Two closed forms come from the reduction Res_u(f, g) = lc_u(f)^(deg_u g -
     deg_u r) * Res_u(f, r) for g = q*f + r, and Res_u(f, r) = r^(deg_u f) for
     r free of u (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 3
-    §6).  Equal part values: when d = g - f is free of u and m = deg_u f >= 1,
-    Res_u(f, g) = (lc_u(f) * d)^m.  Towers: when f and g are p and q in some
-    order, deg_u p = k > l = deg_u q >= 1 and q's leading monomial is u^l,
-    lc_u(q) is a constant c and p.rem(q) is the remainder r of division in
-    u; if r is free of u, Res_u(p, q) = (-1)^(kl) * c^k * r^l.  sympy puts
-    the argument of higher u-degree first, so that is f.resultant(g) in
-    either order.  Every other pair goes to sympy's resultant.
+    §6).  Equal part values: when d = g - f is free of u and m >= 1,
+    Res_u(f, g) = (lc_u(f) * d)^m.  Towers: when m > n >= 1 and g's leading
+    monomial is u^n, lc_u(g) is a constant c and f.rem(g) is the remainder
+    r of division in u; if r is free of u, Res_u(f, g) = (-1)^(mn) * c^m *
+    r^n.  Every other pair goes to sympy's resultant.
     """
-    d = g - f
     m, n = f.degree(0), g.degree(0)
+    if 0 <= m < n:  # a zero f, of degree -inf, goes to sympy
+        return (-1) ** (m * n) * _resultant_u(g, f)
+    d = g - f
     if m >= 1 and d.degree(0) <= 0:
         lc = _UX.from_dict({(0, dx): c for (du, dx), c in f.items() if du == m})
         return (lc * d) ** m
-    (k, p), (l, q) = ((m, f), (n, g)) if m > n else ((n, g), (m, f))
-    if 1 <= l < k and q.LM == (l, 0) and (r := p.rem(q)).degree(0) <= 0:
-        return (-1) ** (k * l) * r ** l * q.LC ** k
+    if 1 <= n < m and g.LM == (n, 0) and (r := f.rem(g)).degree(0) <= 0:
+        return (-1) ** (m * n) * r ** n * g.LC ** m
     return f.resultant(g)
 
 
@@ -464,14 +464,13 @@ def _synthesize_wall(edge, rng: random.Random):
             g = Fraction(rng.randint(1, 9), rng.randint(1, 3)) * rng.choice((1, -1))
             if g not in gammas:
                 gammas.append(g)
-        group = [
-            _from_ux(u ** (v - below) * core + _QQ(g.numerator, g.denominator) * x)
-            for g in gammas
-        ]
+        head = u ** (v - below) * core
+        group = [_from_ux(head + _QQ(g.numerator, g.denominator) * x) for g in gammas]
         if not all(f._smooth for f in group):
             return None  # redraw with fresh randomness
         by_value[v] = group
-        for f in group:
-            core *= f._ux
+        if v < nu[0]:  # a larger value follows: its factors need this group
+            for f in group:
+                core *= f._ux
         below += v * count
     return tuple(by_value[part].pop(0) for part in nu)

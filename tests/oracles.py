@@ -22,6 +22,8 @@ from itertools import combinations
 from math import gcd
 
 import sympy
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.subresultants_qq_zz import sylvester
 
 from logmut import (
     BiPoly,
@@ -448,8 +450,16 @@ def is_smooth_curve(f: BiPoly) -> bool:
 
 
 def resultant_u(f: BiPoly, g: BiPoly):
-    """Res_u(f, g) as a sympy expression in x."""
-    return sympy.resultant(to_sympy(f), to_sympy(g), _U)
+    """Res_u(f, g) as a sympy expression in x: the determinant of the
+    Sylvester matrix of f and g in u, in that argument order, taken over
+    Q[x].  It is 0 when f or g is zero, and 1 (an empty matrix) for two
+    nonzero polynomials free of u.  sympy.resultant is not the reference:
+    it puts the argument of higher u-degree first, so its sign is that of
+    Res_u(g, f) when deg_u f < deg_u g."""
+    if f.is_zero() or g.is_zero():
+        return sympy.Integer(0)
+    matrix = sylvester(to_sympy(f), to_sympy(g), _U)
+    return DomainMatrix.from_Matrix(matrix).convert_to(sympy.QQ[_X]).det().as_expr()
 
 
 def joint_compatible(S: LogDatum, W: WallAssignment) -> bool:

@@ -514,6 +514,25 @@ wall checks:
     )
 
 
+def test_report_walls_prints_res_u_of_the_factors_in_order(capsys, tmp_path):
+    # Factor 1 has u-degree 1 and factor 2 u-degree 3, so Res_u(factor 1,
+    # factor 2) = -Res_u(factor 2, factor 1) = g(-x) for g = factor 2.
+    datum, walls = tmp_path / "datum.json", tmp_path / "walls.json"
+    datum.write_text(json.dumps(
+        {"edges": [{"e": [2, 0], "nu": [1, 1]}, {"e": [0, 1], "nu": [1]},
+                   {"e": [-2, -1], "nu": [1]}]}
+    ))
+    walls.write_text(json.dumps({"walls": [["u + x", "u + u^3*x + 9*x"], ["u"], ["u"]]}))
+    problem = ("wall 1: Res_u(factor 1, factor 2) = -x**4 + 8*x is not a nonzero "
+               "constant times a power of x")
+    code, out, err = run(capsys, "report", str(datum), "--walls", str(walls))
+    assert (code, err) == (0, "")
+    assert out.endswith(f"  generic: no\n    - {problem}\n")
+    code, out, err = run(capsys, "report", str(datum), "--walls", str(walls), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["wall_checks"]["generic"] == {"ok": False, "problems": [problem]}
+
+
 def test_report_failing_walls_output_is_pinned(capsys, tmp_path):
     path = tmp_path / "walls.json"
     path.write_text(json.dumps(NOT_SUBORDINATE))
@@ -648,6 +667,26 @@ def test_console_script_round_trip(tmp_path):
         ["logmut", "decide", "An(0)", "--json"], capture_output=True, text=True
     )
     assert proc.returncode == 0
+    assert json.loads(proc.stdout)["verdict"] == "Yes"
+
+
+def test_console_script_target_runs_from_source():
+    """The [project.scripts] entry, called as the generated script calls it
+    (sys.exit(main())), on the checkout's source."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["logmut"]
+    assert target == "logmut.cli:main"
+    module, func = target.split(":")
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import sys; from {module} import {func}; sys.exit({func}())",
+         "decide", "An(0)", "--json"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["verdict"] == "Yes"
 
 

@@ -171,13 +171,16 @@ def test_last_layer_stop_matches_the_full_layer_search():
     (Unknown) unless a three-edge parent has a success child.  Against a
     search that stores the last layer in full, verdict, depth, certificate
     and terminal agree; explored agrees on Yes and No and can only shrink
-    on Unknown.  The grid reaches max_states in the last layer too."""
+    on Unknown.  The grid reaches max_states in the last layer too, and
+    caps 1, 2 and 3 reach it at the root's first, second and third new
+    child."""
     rng = random.Random(1212)
     data = [random_datum(rng, max_edges=6) for _ in range(200)]
     data += [tom_datum(), jerry_datum(), an_datum(3)]
-    limits = [(d, s) for d in (0, 1, 2, 3, 4) for s in (5, 40, 10**6)]
+    limits = [(d, s) for d in (0, 1, 2, 3, 4) for s in (1, 2, 3, 5, 10, 40, 10**6)]
     limits.append((6, 200))
     seen = set()
+    tripped_at_root = set()
     for S in data:
         for max_depth, max_states in limits:
             v = is_zero_mutable(S, max_depth=max_depth, max_states=max_states)
@@ -196,8 +199,11 @@ def test_last_layer_stop_matches_the_full_layer_search():
                 and ref.explored == max_states
             )
             seen.add((v.kind, v.explored < ref.explored, states_in_last_layer))
+            if v.is_unknown and v.depth == 1 and v.explored == max_states:
+                tripped_at_root.add(max_states)
     assert {("yes", False, False), ("no", False, False)} <= seen
     assert {("unknown", True, False), ("unknown", True, True)} <= seen
+    assert {1, 2, 3} <= tripped_at_root
 
 
 def test_last_layer_stop_pins():

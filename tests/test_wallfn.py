@@ -262,6 +262,22 @@ def test_generic_rejects_non_monomial_resultant():
     assert "25*x**2 + 3*x" in report.problems[0].replace("3*x + 25*x**2", "25*x**2 + 3*x")
 
 
+def test_resultant_sign_follows_the_argument_order():
+    # Res_u(u + x, g) = g(-x) for g = u + u^3*x + 9*x.  Swapping arguments of
+    # u-degrees 1 and 3 flips the sign; both orders are the Sylvester
+    # determinant, as is the problem string is_generic prints.
+    f, g = P("u + x"), P("u + u^3*x + 9*x")
+    S = validate([((2, 0), (1, 1)), ((0, 1), (1,)), ((-2, -1), (1,))])
+    for a, b, want in ((f, g, "-x**4 + 8*x"), (g, f, "x**4 - 8*x")):
+        res = wallfn._resultant_u(wallfn._in_ux(a), wallfn._in_ux(b))
+        assert str(res.as_expr()) == str(oracles.resultant_u(a, b)) == want
+        report = is_generic(S, WallAssignment(((a, b), (U,), (U,))))
+        assert report.problems == (
+            f"wall 1: Res_u(factor 1, factor 2) = {want} is not a nonzero "
+            "constant times a power of x",
+        )
+
+
 def test_generic_requires_subordination():
     with pytest.raises(SubordinationRequired):
         is_generic(an_datum(2), WallAssignment(((U,), (P("u^3 + 2*x"),), (U,))))
@@ -592,10 +608,11 @@ def sympy_resultants(monkeypatch):
 
 
 def test_resultant_closed_form_matches_sympy(sympy_resultants):
-    """_resultant_u against sympy's resultant on expressions and on the ring:
-    u-free differences and tower pairs in both argument orders, which take no
-    sympy resultant, and the fallbacks (pairs with a common factor, some of
-    which the tower rule settles, and a u-free f)."""
+    """_resultant_u against the Sylvester determinant and against sympy's
+    ring resultant, whose sign is that of Res_u(q, p) when p has the lower
+    u-degree: u-free differences and tower pairs in both argument orders,
+    which take no sympy resultant, and the fallbacks (pairs with a common
+    factor, some of which the tower rule settles, and a u-free f)."""
     rng = random.Random(13)
     closed = []
     shapes = {"lc_u not 1": 0, "odd m": 0, "constant d": 0, "d with x": 0}
@@ -626,7 +643,9 @@ def test_resultant_closed_form_matches_sympy(sympy_resultants):
         res = wallfn._resultant_u(p, q)
         assert k >= len(closed) or sympy_resultants == [], (f, g)
         fell_back += len(sympy_resultants)
-        ring = p.resultant(q)
+        ring = p.resultant(q)  # Res_u(q, p) when deg_u p < deg_u q
+        m, n = p.degree(0), q.degree(0)
+        ring = -ring if m < n and m * n % 2 else ring
         assert str(res.as_expr()) == str(ring.as_expr()) == str(oracles.resultant_u(f, g)), (f, g)
         assert len(res) == len(ring), (f, g)
     assert fell_back >= 40, fell_back
