@@ -198,9 +198,9 @@ def is_zero_mutable(
     Yes carries a shortest certificate.  No is returned only when the
     reachable class set was exhausted within the limits.  Unknown reports a
     hit limit.  `explored` counts the classes visited when the verdict is
-    reached: on Yes, up to the layer's first success; in the layer at
-    max_depth without a success, up to its first new class with three or
-    more edges, which settles Unknown.
+    reached: on Yes, up to the layer's first success or to max_states,
+    whichever comes first; in the layer at max_depth without a success, up
+    to its first new class with three or more edges, which settles Unknown.
     """
     if not isinstance(S, LogDatum):
         raise InvalidDatum("is_zero_mutable expects a validated LogDatum")
@@ -238,10 +238,12 @@ def _layer(frontier: list, backs: list, visited: set, links: list,
     The successes are the rank-one children with equal partitions of the
     three-edge parents (a mutation removes at most one edge), parents in
     discovery order and moves in expansion order.  The pass that adds new
-    classes to `visited` stops at the first of them.  The keep rule: with
-    `keep`, each new class with three or more edges joins the next
-    frontier; without it (at max_depth) none does, and in a layer with no
-    success the first one settles Unknown, as it rules out No.
+    classes to `visited` stops at the first of them, or where it would pass
+    `max_states`: Unknown only in a layer with no success, so the verdict
+    does not depend on the order of expansion.  The keep rule: with `keep`,
+    each new class with three or more edges joins the next frontier;
+    without it (at max_depth) none does, and in a layer with no success
+    the first one settles Unknown, as it rules out No.
     """
     first = len(links) // 3 - len(frontier)  # index of frontier[0]
     successes = [
@@ -254,23 +256,24 @@ def _layer(frontier: list, backs: list, visited: set, links: list,
     stop = successes[0][3] if successes else ()
     last = not keep and not successes
     next_frontier, next_backs = [], []
+    done = successes, next_frontier, next_backs
     for node, state, parent_back in zip(count(first), frontier, backs):
         for edge, part, child, back in _expand_state(state, parent_back):
             if child == stop:  # an equal earlier child would be a success too
-                return successes, next_frontier, next_backs
-            explored = len(visited)
-            visited.add(_canonical_key(child))
-            if len(visited) == explored:
+                return done
+            key = _canonical_key(child)
+            if key in visited:
                 continue
-            if explored >= max_states:
-                return Verdict.unknown(explored, depth)
+            if len(visited) >= max_states:  # a listed success still settles Yes
+                return done if successes else Verdict.unknown(len(visited), depth)
+            visited.add(key)
             if len(child) > 8:
                 if last:
                     return Verdict.unknown(len(visited), depth)
                 next_frontier.append(child)
                 next_backs.append(back)
                 links += (node, edge, part)
-    return successes, next_frontier, next_backs
+    return done
 
 
 def _certificate(S: LogDatum, successes: list, links: list) -> Certificate:
@@ -334,7 +337,10 @@ def enumerate_zero_mutable(
     directions (checked by validation with the trivial one-part
     partitions).  Assignments iterate in descending lexicographic partition
     order per edge, edges taken in counterclockwise order; returns
-    (assignment, verdict) pairs.
+    (assignment, verdict) pairs.  Each runs its own search under both
+    limits, and their number is the product of the partition counts of the
+    edge lengths (6 for [(0, 2), (-3, -2), (3, 0)], 20 for [(4, 0), (0, 2),
+    (-4, -2)]), so at the default limits a sweep can run for minutes.
     """
     edge_vectors = [lattice_vector(e) for e in edge_vectors]
     trial = validate([(e, (primitive_split(e)[0],)) for e in edge_vectors])

@@ -22,7 +22,8 @@ edge is the one where it does.
 The rules are implemented once, by _edge_moves on flat states; the search
 calls it on states, legal_mutations lists its moves, and mutate() wraps it
 for LogDatum objects, whose result is re-validated and re-sorted
-counterclockwise.
+counterclockwise.  The kernel formats nothing: mutate_with_trace reads the
+branch lines off the height and sides that it returns.
 """
 from __future__ import annotations
 
@@ -64,14 +65,12 @@ def _state(S: LogDatum) -> tuple:
     return tuple(out)
 
 
-def _edge_moves(
-    state: tuple, j: int, parts: tuple, out: list, trace: Optional[list] = None
-) -> int:
+def _edge_moves(state: tuple, j: int, parts: tuple, out: list) -> tuple:
     """Append to `out` the children of the edge at flat index j, one
     (1-based edge, part value, child, child's back move) per distinct value
     l <= h in `parts` (parts of that edge, in descending order), and return
-    the height h along u_j.  A trace list also receives each child's branch
-    lines.
+    (h, positive, opposite): the height h along u_j, the sheared positive
+    side (flat, in cycle order from edge j) and the -u_j edge or None.
 
     No comparison sort is needed: walking the cycle from edge j, the
     positive side of u_j comes first (the shear fixes u_j and keeps that
@@ -114,15 +113,6 @@ def _edge_moves(
         opposite = rest[k : k + 4]
         negative = rest[k + 4 :]
 
-    if trace is not None:  # rule (1) lines, in edge-index order
-        sheared = []
-        for t in range(0, k, 4):
-            i, l = (j + 4 + t) % len(state), rest[t]
-            old = (l * rest[t + 2], l * rest[t + 3])
-            new = (l * positive[t + 2], l * positive[t + 3])
-            sheared.append((i, f"(1) edge {i // 4 + 1} sheared: {old} -> {new}"))
-        sheared = [line for _, line in sorted(sheared)]
-
     last = None
     for part in parts:  # descending, so equal values are adjacent
         if part == last or part > h:
@@ -153,30 +143,10 @@ def _edge_moves(
             child[cut + 2], child[cut + 3]
         ):
             cut += 4
-        if trace is not None:
-            trace += sheared
-            if len(nuj) > 1:
-                shrunk = ((lj - part) * ux, (lj - part) * uy)
-                trace.append(
-                    f"(2a) edge {edge} shrinks to {shrunk},"
-                    f" partition loses one part {part}"
-                )
-            else:
-                trace.append(f"(2b) edge {edge} removed")
-            if opposite is not None:
-                lo, _, ox, oy = opposite
-                trace.append(
-                    f"(3a) opposite edge {(j + 4 + k) % len(state) // 4 + 1} grows:"
-                    f" {(lo * ox, lo * oy)} -> {((lo + d) * ox, (lo + d) * oy)},"
-                    f" partition gains {d if d > 0 else 'nothing'}"
-                )
-            elif d:
-                fresh = (-d * ux, -d * uy)
-                trace.append(f"(3b) new edge {fresh} with partition ({d},)")
         child = child[cut:] + child[:cut]
         child_back = ((tail - 4 - cut) % len(child), d) if d else None
         out.append((edge, part, tuple(child), child_back))
-    return h
+    return h, positive, opposite
 
 
 def _expand_state(state: tuple, back: Optional[tuple] = None) -> list:
@@ -217,28 +187,52 @@ def _part_at(S: LogDatum, j: int, k: int) -> int:
     return nu[k - 1]
 
 
-def _mutate_part(S: LogDatum, j: int, part: int, trace: Optional[list]) -> LogDatum:
-    """The mutation at edge j removing one part of value `part` (one of
-    edge j's parts), through the state kernel and re-validated."""
+def _mutate_part(S: LogDatum, j: int, part: int) -> tuple[LogDatum, tuple]:
+    """The mutation at edge j removing one part of value `part`, through the
+    kernel and re-validated, and the kernel's (h, positive, opposite)."""
     children: list = []
-    h = _edge_moves(_state(S), 4 * (j - 1), (part,), children, trace)
+    sides = _edge_moves(_state(S), 4 * (j - 1), (part,), children)
     if not children:
         raise IllegalMutation(
-            f"mutation at edge {j}, part {part} is illegal: height h = {h} < {part}"
+            f"mutation at edge {j}, part {part} is illegal: height h = {sides[0]} < {part}"
         )
     it = iter(children[0][2])
-    return validate([((l * dx, l * dy), nu) for l, nu, dx, dy in zip(it, it, it, it)])
+    T = validate([((l * dx, l * dy), nu) for l, nu, dx, dy in zip(it, it, it, it)])
+    return T, sides
+
+
+def _trace(S: LogDatum, j: int, part: int, h: int, positive: list, opposite) -> list[str]:
+    """The branch lines of the mutation at edge j removing `part`, in rule
+    order and rule (1) in edge order, read off the kernel's sides."""
+    n, u, lj, d = len(S), S.directions[j - 1], S.lengths[j - 1], h - part
+    it = iter(positive)  # its t-th edge has 0-based index j + t, cyclically
+    new = {(j + t) % n: (l * dx, l * dy)
+           for t, (l, _, dx, dy) in enumerate(zip(it, it, it, it))}
+    lines = [f"(1) edge {i + 1} sheared: {S.edges[i].e} -> {new[i]}" for i in sorted(new)]
+    if len(S.edges[j - 1].nu) > 1:
+        shrunk = ((lj - part) * u[0], (lj - part) * u[1])
+        lines.append(f"(2a) edge {j} shrinks to {shrunk}, partition loses one part {part}")
+    else:
+        lines.append(f"(2b) edge {j} removed")
+    if opposite is not None:
+        i, (lo, _, ox, oy) = (j + len(positive) // 4) % n, opposite
+        lines.append(f"(3a) opposite edge {i + 1} grows: {S.edges[i].e} ->"
+                     f" {((lo + d) * ox, (lo + d) * oy)}, partition gains {d or 'nothing'}")
+    elif d:
+        lines.append(f"(3b) new edge {(-d * u[0], -d * u[1])} with partition ({d},)")
+    return lines
 
 
 def mutate_with_trace(S: LogDatum, j: int, k: int) -> tuple[LogDatum, list[str]]:
     """Apply the mutation at edge j, part index k; also report branches taken."""
-    trace: list[str] = []
-    return _mutate_part(S, j, _part_at(S, j, k), trace), trace
+    part = _part_at(S, j, k)
+    T, sides = _mutate_part(S, j, part)
+    return T, _trace(S, j, part, *sides)
 
 
 def mutate(S: LogDatum, j: int, k: int) -> LogDatum:
     """The mutation at edge j (1-based CCW position), part index k (1-based)."""
-    return _mutate_part(S, j, _part_at(S, j, k), None)
+    return _mutate_part(S, j, _part_at(S, j, k))[0]
 
 
 def part_index(S: LogDatum, j: int, value: int) -> int:
@@ -258,4 +252,4 @@ def mutate_by_value(S: LogDatum, j: int, value: int) -> LogDatum:
     Certificates address parts by value, which survives partition re-sorting.
     """
     part_index(S, j, value)  # raises unless edge j has a part of this value
-    return _mutate_part(S, j, value, None)
+    return _mutate_part(S, j, value)[0]

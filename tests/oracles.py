@@ -330,7 +330,9 @@ def _iddfs_pass(S: LogDatum, cutoff: int, max_states: int, prune: bool):
 def full_layer_search(S: LogDatum, *, max_depth: int, max_states: int) -> Verdict:
     """is_zero_mutable as a plain breadth-first search that stores every
     layer in full, the last one included, and reads Unknown at max_depth
-    only once that layer is stored.
+    only once that layer is stored.  When max_states stops the storing, the
+    rest of the layer is still scanned for successes: a layer with a
+    success is Yes whatever the budget.
 
     Unlike the other references here, it runs the package's own kernel and
     keys (_expand_state, _canonical_key) and the package's tie-break (the
@@ -348,6 +350,7 @@ def full_layer_search(S: LogDatum, *, max_depth: int, max_states: int) -> Verdic
             return Verdict.unknown(len(visited), depth)
         depth += 1
         success = None
+        full = False  # the budget tripped: scan on for successes only
         layer = []
         for state, back, path in frontier:
             for edge, part, child, child_back in _expand_state(state, back):
@@ -357,12 +360,13 @@ def full_layer_search(S: LogDatum, *, max_depth: int, max_states: int) -> Verdic
                         success = steps
                     if child[3] == 0:
                         break
-                elif success is None:
+                elif success is None and not full:
                     key = _canonical_key(child)
                     if key in visited:
                         continue
                     if len(visited) >= max_states:
-                        return Verdict.unknown(len(visited), depth)
+                        full = True
+                        continue
                     visited.add(key)
                     if len(child) > 8:
                         layer.append((child, child_back, steps))
@@ -372,6 +376,8 @@ def full_layer_search(S: LogDatum, *, max_depth: int, max_states: int) -> Verdic
         if success is not None:
             terminal = replay(S, Certificate(success, S))
             return Verdict.yes(Certificate(success, terminal), len(visited))
+        if full:
+            return Verdict.unknown(len(visited), depth)
         frontier = layer
     return Verdict.no(len(visited), depth)
 

@@ -166,6 +166,15 @@ def test_an_search_visits_the_pinned_class_counts():
         assert (v.explored, v.depth) == (count, n + 1)
 
 
+def budget_example():
+    """A datum that is Yes at depth 4 within 200 states, and its image under
+    [[1, 0], [-1, 1]].  The image expands the success layer in another
+    order, and at max_states=200 the budget trips there before the first
+    success."""
+    S = validate([((5, 0), (3, 1, 1)), ((-3, 3), (2, 1)), ((-2, -3), (1,))])
+    return [S, apply_to_datum(UnimodularMap(1, 0, -1, 1), S)]
+
+
 def test_last_layer_stop_matches_the_full_layer_search():
     """At max_depth the search stops at the first new rank-two class
     (Unknown) unless a three-edge parent has a success child.  Against a
@@ -176,7 +185,7 @@ def test_last_layer_stop_matches_the_full_layer_search():
     child."""
     rng = random.Random(1212)
     data = [random_datum(rng, max_edges=6) for _ in range(200)]
-    data += [tom_datum(), jerry_datum(), an_datum(3)]
+    data += [tom_datum(), jerry_datum(), an_datum(3)] + budget_example()
     limits = [(d, s) for d in (0, 1, 2, 3, 4) for s in (1, 2, 3, 5, 10, 40, 10**6)]
     limits.append((6, 200))
     seen = set()
@@ -204,6 +213,33 @@ def test_last_layer_stop_matches_the_full_layer_search():
     assert {("yes", False, False), ("no", False, False)} <= seen
     assert {("unknown", True, False), ("unknown", True, True)} <= seen
     assert {1, 2, 3} <= tripped_at_root
+
+
+def test_verdict_and_depth_are_invariant_under_lattice_maps():
+    """Verdict and depth are functions of the class and the limits, also at
+    tight max_states: a layer with a success is Yes wherever the budget
+    trips in it, and other layers trip where the class count passes the
+    budget.  2,000 (datum, map, limits) cases, the budget example's map
+    among them."""
+    rng = random.Random(609)
+    S, _ = budget_example()
+    maps = [UnimodularMap(1, 0, -1, 1)] + [random_unimodular(rng) for _ in range(4)]
+    data = [(S, maps)]
+    for _ in range(49):
+        maps = [random_unimodular(rng) for _ in range(5)]
+        data.append((random_datum(rng, max_edges=6), maps))
+    cases = 0
+    for S, maps in data:
+        for max_depth in (3, 7):
+            for max_states in (1, 5, 20, 200):
+                v = is_zero_mutable(S, max_depth=max_depth, max_states=max_states)
+                for A in maps:
+                    w = is_zero_mutable(apply_to_datum(A, S), max_depth=max_depth,
+                                        max_states=max_states)
+                    assert (w.kind, w.depth) == (v.kind, v.depth), (S, A, max_depth, max_states)
+                    assert w.explored <= max_states
+                    cases += 1
+    assert cases == 2000
 
 
 def test_last_layer_stop_pins():

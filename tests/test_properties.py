@@ -98,11 +98,43 @@ def _outcome(fn, *args):
         return type(exc)
 
 
+def literal_trace(S, j: int, k: int) -> list[str]:
+    """mutate_with_trace's lines for a legal (j, k), from the rules on the
+    datum's own edges: (1) each sheared edge in edge order, then (2a) or
+    (2b), then (3a) or (3b)."""
+    u = S.directions[j - 1]
+    part, nu = S.edges[j - 1].nu[k - 1], S.edges[j - 1].nu
+    d = oracles.u_height(S, u) - part
+    lines = [
+        f"(1) edge {i} sheared: {e} -> "
+        f"{(e[0] + sform(u, e) * u[0], e[1] + sform(u, e) * u[1])}"
+        for i, (e, _) in enumerate(S.edges, start=1)
+        if sform(u, e) > 0
+    ]
+    if len(nu) > 1:
+        shrunk = (S.lengths[j - 1] - part) * u[0], (S.lengths[j - 1] - part) * u[1]
+        lines.append(f"(2a) edge {j} shrinks to {shrunk}, partition loses one part {part}")
+    else:
+        lines.append(f"(2b) edge {j} removed")
+    opposite = [i for i, v in enumerate(S.directions, start=1) if v == (-u[0], -u[1])]
+    if opposite:
+        e = S.edges[opposite[0] - 1].e
+        gains = d if d > 0 else "nothing"
+        lines.append(
+            f"(3a) opposite edge {opposite[0]} grows: {e} -> "
+            f"{(e[0] - d * u[0], e[1] - d * u[1])}, partition gains {gains}"
+        )
+    elif d > 0:
+        lines.append(f"(3b) new edge {(-d * u[0], -d * u[1])} with partition ({d},)")
+    return lines
+
+
 def test_kernel_mutate_matches_the_literal_rules():
     """mutate runs the flat-state kernel; oracles.mutate applies the rules
     to objects.  Every (j, k), in range or not, of CASES data with few
     distinct directions (so -u_j edges occur) and of CASES general data
-    must give equal data or the same exception type."""
+    must give equal data or the same exception type, and every legal move's
+    whole trace must equal the lines built from the rules."""
     rng = random.Random(607)
     branches = set()
     legal = 0
@@ -119,15 +151,8 @@ def test_kernel_mutate_matches_the_literal_rules():
                     legal += 1
                     T_traced, trace = mutate_with_trace(S, j, k)
                     assert T_traced == T
+                    assert trace == literal_trace(S, j, k), (S, j, k)
                     branches.update(line[: line.index(")") + 1] for line in trace)
-                    u = S.directions[j - 1]
-                    sheared = [
-                        f"(1) edge {i} sheared: {e} -> "
-                        f"{(e[0] + sform(u, e) * u[0], e[1] + sform(u, e) * u[1])}"
-                        for i, (e, _) in enumerate(S.edges, start=1)
-                        if sform(u, e) > 0
-                    ]
-                    assert [l for l in trace if l.startswith("(1)")] == sheared
     assert legal >= CASES
     assert branches == {"(1)", "(2a)", "(2b)", "(3a)", "(3b)"}
 
