@@ -31,6 +31,7 @@ from .decider import (
     MAX_DEPTH,
     MAX_STATES,
     canonicalize,
+    check_limits,
     enumerate_zero_mutable,
     is_zero_mutable,
 )
@@ -123,13 +124,9 @@ def cmd_mutate(args) -> int:
 
 
 def _limits(args) -> dict:
-    for flag, value in (
-        ("--max-depth", args.max_depth),
-        ("--max-states", args.max_states),
-    ):
-        if value < 0:
-            raise LogMutError(f"{flag} must be non-negative, got {value}")
-    return {"max_depth": args.max_depth, "max_states": args.max_states}
+    limits = {"max_depth": args.max_depth, "max_states": args.max_states}
+    check_limits(**limits, names=("--max-depth", "--max-states"))
+    return limits
 
 
 def cmd_decide(args) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import count, product
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import IllegalMutation, InvalidDatum, NotRankTwo
+from .errors import IllegalMutation, InvalidDatum, LogMutError, NotRankTwo
 from .lattice import Vec, primitive_split
 from .logdatum import (
     LogDatum,
@@ -35,6 +35,16 @@ from .mutation import _expand_state, _state, mutate_by_value
 
 MAX_DEPTH = 32  # the search's default limits, also the CLI's
 MAX_STATES = 10**6
+
+
+def check_limits(max_depth, max_states, names=("max_depth", "max_states")) -> None:
+    """Each search limit is an int, not a bool, at least 0; LogMutError otherwise."""
+    for name, value in zip(names, (max_depth, max_states)):
+        if type(value) is not int:
+            raise LogMutError(f"{name} must be an int, got {value!r}")
+        if value < 0:
+            raise LogMutError(f"{name} must be non-negative, got {value}")
+
 
 # The search works on the flat states of mutation.py.  A key is a flat
 # (x, y, nu, x, y, nu, ...) tuple; it orders like the nested ((e, nu), ...)
@@ -201,9 +211,11 @@ def is_zero_mutable(
     reached: on Yes, up to the layer's first success or to max_states,
     whichever comes first; in the layer at max_depth without a success, up
     to its first new class with three or more edges, which settles Unknown.
+    Limits that break check_limits' rule raise LogMutError.
     """
     if not isinstance(S, LogDatum):
         raise InvalidDatum("is_zero_mutable expects a validated LogDatum")
+    check_limits(max_depth, max_states)
     if len(S) == 2 and is_zero_mutable_rank_one(S):
         return Verdict.yes(Certificate((), S), explored=1)
 
@@ -216,7 +228,7 @@ def is_zero_mutable(
     frontier, backs = [root], [None]
     depth = 0
     while frontier:
-        # Reached only when max_depth < 1: the layer at max_depth keeps none.
+        # Reached only when max_depth is 0: the layer at max_depth keeps none.
         if depth >= max_depth:
             return Verdict.unknown(len(visited), depth)
         depth += 1
@@ -342,6 +354,7 @@ def enumerate_zero_mutable(
     edge lengths (6 for [(0, 2), (-3, -2), (3, 0)], 20 for [(4, 0), (0, 2),
     (-4, -2)]), so at the default limits a sweep can run for minutes.
     """
+    check_limits(max_depth, max_states)
     edge_vectors = [lattice_vector(e) for e in edge_vectors]
     trial = validate([(e, (primitive_split(e)[0],)) for e in edge_vectors])
     vectors = [edge.e for edge in trial.edges]

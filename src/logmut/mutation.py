@@ -43,10 +43,8 @@ def legal_mutations(S: LogDatum) -> list[MutationIndex]:
     """All legal (j, k), one k per distinct part value of each edge: the
     kernel's moves, each value given by the index of its first part."""
     _require_rank_two(S)
-    return [
-        MutationIndex(j, part_index(S, j, part))
-        for j, part, _, _ in _expand_state(_state(S))
-    ]
+    return [MutationIndex(j, S.edges[j - 1].nu.index(part) + 1)
+            for j, part, _, _ in _expand_state(_state(S))]
 
 
 # A state is a datum as one flat tuple (l, nu, dx, dy, l, nu, dx, dy, ...):

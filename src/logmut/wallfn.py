@@ -98,13 +98,6 @@ class BiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def restrict_to_u(self) -> "BiPoly":
-        """Substitute x = 0: keep only the x-degree-0 terms."""
-        return BiPoly(tuple((k, c) for k, c in self.terms if k[0] == 0))
-
-    def is_u_power(self, n: int) -> bool:
-        return self.terms == (((0, n), Fraction(1)),)
-
     def __str__(self) -> str:
         return format_bipoly(self)
 
@@ -255,15 +248,17 @@ def _check_shape(S: LogDatum, W: WallAssignment) -> None:
         )
 
 
+def _at_joint(f: BiPoly):
+    """f at x = 0, on _UX (a _UX monomial is (u_degree, x_degree))."""
+    return _UX.from_dict({m: c for m, c in f._ux.items() if not m[1]})
+
+
 def joint_compatible(S: LogDatum, W: WallAssignment) -> bool:
     """Each wall's full function restricts to u^{l_i} on the joint (x = 0):
     x = 0 is a ring map, so the product of the factors' restrictions."""
     _check_shape(S, W)
-    return all(  # a _UX monomial is (u_degree, x_degree)
-        math.prod((_UX.from_dict({m: c for m, c in f._ux.items() if not m[1]})
-                   for f in wall), start=_UX.one) == _UX.gens[0] ** length
-        for length, wall in zip(S.lengths, W.factors)
-    )
+    return all(math.prod(map(_at_joint, wall), start=_UX.one) == _UX.gens[0] ** length
+               for length, wall in zip(S.lengths, W.factors))
 
 
 @dataclass(frozen=True)
@@ -309,9 +304,8 @@ def _in_ux(f: BiPoly):
 
 
 def _from_ux(p) -> BiPoly:
-    f = BiPoly.from_terms(
-        {(dx, du): Fraction(c.numerator, c.denominator) for (du, dx), c in p.items()}
-    )
+    f = BiPoly(tuple(sorted(((dx, du), Fraction(c.numerator, c.denominator))
+                            for (du, dx), c in p.items())))
     vars(f)["_ux"] = p  # the _ux cached_property's value, kept
     return f
 
@@ -356,11 +350,9 @@ def is_subordinate(S: LogDatum, W: WallAssignment) -> CheckReport:
             )
             continue
         for k, (factor, part) in enumerate(zip(wall, edge.nu), start=1):
-            if not factor.restrict_to_u().is_u_power(part):
+            if (r := _at_joint(factor)) != _UX.gens[0] ** part:
                 problems.append(
-                    f"wall {i} factor {k}: restriction {factor.restrict_to_u()} "
-                    f"!= u^{part}"
-                )
+                    f"wall {i} factor {k}: restriction {_from_ux(r)} != u^{part}")
             elif not factor._smooth:
                 problems.append(f"wall {i} factor {k}: zero curve is singular")
     return CheckReport(not problems, tuple(problems))

@@ -16,6 +16,7 @@ stops.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -250,6 +251,39 @@ def _candidates(S: LogDatum):
         yield tuple(images[i:] + images[:i])
 
 
+def yes_walk_corpus(starts, *, seed: int, walks: int, max_steps: int):
+    """Yes data with a depth bound that no search computed, from seeded
+    random walks over this module's legal_moves, u_height and mutate.
+
+    `starts` pairs Yes data with their depths.  A step takes a legal move
+    (j, k) with d = h - part > 0, h the height along u_j, whose child has
+    more than two edges.  By logmut.mutation._edge_moves such a child has a
+    move back into its parent's class (each step checks it with this
+    module's keys), so a datum w steps from a start of depth k is Yes at
+    depth <= k + w.  Returns one (datum, bound) per class reached, with the
+    least bound found, in discovery order.
+    """
+    rng = random.Random(seed)
+    found: dict = {}
+    for _ in range(walks):
+        S, bound = rng.choice(starts)
+        for _ in range(rng.randint(1, max_steps)):
+            moves = [(j, k) for j, k in legal_moves(S)
+                     if S.edges[j - 1].nu[k - 1] < u_height(S, S.directions[j - 1])]
+            rng.shuffle(moves)
+            T = next((T for T in (mutate(S, j, k) for j, k in moves) if len(T) > 2), None)
+            if T is None:
+                break
+            home = min(_candidates(S))
+            if not any(min(_candidates(mutate(T, j, k))) == home for j, k in legal_moves(T)):
+                raise AssertionError(f"no move of {T} returns to the class of {S}")
+            S, bound = T, bound + 1
+            key = min(_candidates(S))
+            if key not in found or found[key][1] > bound:
+                found[key] = (S, bound)
+    return list(found.values())
+
+
 def _is_success(S: LogDatum) -> bool:
     return len(S) == 2 and S.edges[0].nu == S.edges[1].nu
 
@@ -287,7 +321,7 @@ def _iddfs_pass(S: LogDatum, cutoff: int, max_states: int, prune: bool):
 
     With `prune`, once the cutoff has been hit (so No is ruled out), a datum
     at depth cutoff - 1 with more than three edges is not expanded: a
-    mutation removes at most one edge, as asserted on every mutation here,
+    mutation removes at most one edge, as checked on every mutation here,
     so none of its children is a success.  Its children would only have
     been stored, at depth cutoff; their number is at most its move count,
     summed in `skipped`.  While fewer than max_states classes are stored
@@ -313,7 +347,8 @@ def _iddfs_pass(S: LogDatum, cutoff: int, max_states: int, prune: bool):
             continue
         for j, k in moves:
             child = mutate(datum, j, k)
-            assert len(child) >= len(datum) - 1, (datum, j, k)
+            if len(child) < len(datum) - 1:
+                raise AssertionError(f"mutation {(j, k)} of {datum} removed two edges")
             if _is_success(child):
                 return ("yes", cutoff)
             key = min(_candidates(child))

@@ -6,11 +6,19 @@ decides each class representative twice: with the breadth-first decider and
 with the independent iterative-deepening oracle, both at depth 2.  The two
 searches take different routes (tuple kernels vs. datum objects), so any
 disagreement points at a real defect in one of them.  A depth-6 pass over the
-reference data covers deeper certificates than the uniform sweep can afford.
+reference data and a corpus of Yes data from the oracle's own walks cover
+deeper certificates than the uniform sweep can afford.
 """
 import random
 
-from logmut import an_datum, is_zero_mutable, jerry_datum, tom_datum, validate
+from logmut import (
+    an_datum,
+    is_zero_mutable,
+    jerry_datum,
+    tom_datum,
+    validate,
+    verify_certificate,
+)
 
 from conftest import (
     BOX_COORD_BOUND,
@@ -19,7 +27,7 @@ from conftest import (
     box_survey,
     random_datum,
 )
-from oracles import _iddfs_pass, iddfs_zero_mutable
+from oracles import _iddfs_pass, iddfs_zero_mutable, yes_walk_corpus
 
 FIXED_POINT = validate([((1, 0), (1,)), ((0, 2), (2,)), ((-1, -2), (1,))])
 
@@ -60,6 +68,27 @@ def test_deeper_agreement_on_reference_data():
         assert fast.kind == kind
         if fast.is_yes:
             assert len(fast.certificate.steps) == shortest
+
+
+def test_deep_yes_corpus_agrees_with_the_oracle():
+    """Past depth 2: Yes data from the oracle's own walks (see
+    oracles.yes_walk_corpus) at walk bounds up to 7.  On each, the decider
+    and the oracle say Yes at one depth, within the walk bound, and the
+    decider's certificate replays."""
+    starts = [
+        (S, iddfs_zero_mutable(S, max_depth=4)[1])
+        for S in (tom_datum(), jerry_datum(), an_datum(1), an_datum(2), an_datum(3))
+    ]
+    corpus = yes_walk_corpus(starts, seed=1, walks=700, max_steps=4)
+    depths = []
+    for S, bound in corpus:
+        if bound > 7:
+            continue
+        fast = is_zero_mutable(S, max_depth=bound)
+        assert fast.is_yes and iddfs_zero_mutable(S, max_depth=bound) == ("yes", fast.depth), S
+        assert fast.depth <= bound and verify_certificate(S, fast.certificate), S
+        depths.append(fast.depth)
+    assert sum(depth >= 3 for depth in depths) >= 60
 
 
 def test_the_oracle_prune_changes_no_outcome():

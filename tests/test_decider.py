@@ -25,7 +25,7 @@ from logmut import (
     validate,
     verify_certificate,
 )
-from logmut.errors import ClosureViolation, IllegalMutation, InvalidDatum
+from logmut.errors import ClosureViolation, IllegalMutation, InvalidDatum, LogMutError
 from conftest import _box_edge_sets, random_datum, random_unimodular
 from oracles import _candidates, full_layer_search
 
@@ -260,6 +260,41 @@ def test_unknown_on_depth_limit():
 def test_unknown_on_state_limit():
     v = is_zero_mutable(an_datum(8), max_states=50)
     assert v.is_unknown
+
+
+def test_search_limits_are_non_negative_ints(monkeypatch):
+    """Each search limit is an int, not a bool, at least 0, checked before
+    any search: no coercion of 2.5 or True, no Unknown for a negative limit,
+    no TypeError from inside the search."""
+    import logmut.decider
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(logmut.decider, "_layer", no_search)
+    cases = [
+        ({"max_depth": 2.5}, "max_depth must be an int, got 2.5"),
+        ({"max_depth": True}, "max_depth must be an int, got True"),
+        ({"max_states": False}, "max_states must be an int, got False"),
+        ({"max_depth": -1}, "max_depth must be non-negative, got -1"),
+        ({"max_states": -5}, "max_states must be non-negative, got -5"),
+        ({"max_states": None}, "max_states must be an int, got None"),
+        ({"max_depth": "3"}, "max_depth must be an int, got '3'"),
+    ]
+    segment = [(1, 0), (-1, 0)]  # rank one: Yes without a search
+    for limits, message in cases:
+        for decide in (
+            lambda: is_zero_mutable(tom_datum(), **limits),
+            lambda: is_zero_mutable(validate([(v, (1,)) for v in segment]), **limits),
+            lambda: enumerate_zero_mutable([(3, 0), (0, 2), (-3, -2)], **limits),
+            lambda: enumerate_zero_mutable(segment, **limits),
+        ):
+            with pytest.raises(LogMutError) as err:
+                decide()
+            assert str(err.value) == message, limits
+    monkeypatch.undo()
+    assert is_zero_mutable(tom_datum(), max_depth=0, max_states=0).is_unknown
+    assert is_zero_mutable(validate([(v, (1,)) for v in segment]), max_depth=0).is_yes
 
 
 def test_replay_and_verify():

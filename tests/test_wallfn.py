@@ -81,12 +81,23 @@ def test_derivatives_and_evaluation():
 
 
 def test_restriction_and_u_power_shape():
-    f = P("u^2 + 3*x + x*u^5")
-    assert f.restrict_to_u() == P("u^2")
-    assert f.restrict_to_u().is_u_power(2)
-    assert not P("2*u^2").is_u_power(2)  # coefficient must be exactly 1
-    assert not P("u^2 + 1").is_u_power(2)
-    assert P("1").is_u_power(0)
+    """is_subordinate keeps a factor whose value at x = 0 is exactly
+    u^part and prints that value otherwise, as the sympy reference does."""
+    S = tom_datum()  # wall 1 has parts (2, 1)
+    cases = [
+        (["u^2 + 3*x + x*u^5", "u + x"], ()),  # x-terms leave at x = 0
+        (["2*u^2 + x", "u + x"],  # the coefficient must be exactly 1
+         ("wall 1 factor 1: restriction 2*u^2 != u^2",)),
+        (["u^2 + 1", "1 + x"],  # a constant term stays; 1 is u^0, not u^1
+         ("wall 1 factor 1: restriction u^2 + 1 != u^2",
+          "wall 1 factor 2: restriction 1 != u^1")),
+        (["u^2 + x", "x"], ("wall 1 factor 2: restriction 0 != u^1",)),
+    ]
+    for wall, problems in cases:
+        W = WallAssignment((tuple(map(P, wall)), (P("u + x"), P("u - x")), (U,)))
+        assert is_subordinate(S, W) == CheckReport(not problems, problems), wall
+        assert oracles.wall_problems(S, W)[0] == problems, wall
+    assert wallfn._at_joint(P("1 + x")) == wallfn._UX.one == wallfn._UX.gens[0] ** 0
 
 
 # --- text and JSON formats ----------------------------------------------------
@@ -312,14 +323,15 @@ def test_synthesis_handles_repeated_values_and_towers():
     flat = validate([((3, 0), (1, 1, 1)), ((0, 1), (1,)), ((-3, -1), (1,))])
     W = generic_wall_assignment(flat, seed=1)
     assert is_generic(flat, W)
-    assert all(f.restrict_to_u().is_u_power(1) for f in W.factors[0])
+    x, u = sympy.symbols("x u")
+    assert all(oracles.to_sympy(f).subs(x, 0) == u for f in W.factors[0])
 
     tower = validate([((8, 0), (4, 3, 1)), ((0, 1), (1,)), ((-8, -1), (1,))])
     W = generic_wall_assignment(tower, seed=1)
     assert is_generic(tower, W)
     f4, f3, f1 = W.factors[0]
     assert [max(du for (_, du), _ in f.terms) for f in (f4, f3)] == [4, 3]
-    assert f4.restrict_to_u().is_u_power(4)
+    assert oracles.to_sympy(f4).subs(x, 0) == u**4
 
 
 def test_synthesis_refuses_partition_without_dominant_tower():
