@@ -211,6 +211,7 @@ def is_zero_mutable(
     reached: on Yes, up to the layer's first success or to max_states,
     whichever comes first; in the layer at max_depth without a success, up
     to its first new class with three or more edges, which settles Unknown.
+    The root's class always counts, so explored <= max(max_states, 1).
     Limits that break check_limits' rule raise LogMutError.
     """
     if not isinstance(S, LogDatum):

@@ -58,4 +58,4 @@ class WallSynthesisError(LogMutError):
 
 
 class FactorTooLarge(LogMutError):
-    """A wall document's factor is above wallfn.MAX_GROEBNER_DEGREE."""
+    """A wall assignment's factor is above wallfn.MAX_GROEBNER_DEGREE."""

@@ -158,8 +158,6 @@ def _expand_state(state: tuple, back: Optional[tuple] = None) -> list:
     """
     skip_j, skip_part = back or (-1, 0)
     out = []
-    if len(state) <= 8:
-        return out  # rank-one states are mutation-terminal
     for j in range(0, len(state), 4):
         parts = state[j + 1]
         if j == skip_j:

@@ -3,7 +3,7 @@
 Each wall surface carries coordinates (x, u) — the wall direction u_i is
 primitive, so together with the joint direction u it spans the wall monoid
 freely.  A wall function for edge i is a product of factors f_{i,k}, one per
-part of nu_i.  Every factor of a wall document is capped at total degree
+part of nu_i.  Every factor of a WallAssignment is capped at total degree
 MAX_GROEBNER_DEGREE, and the checks here are exact:
 
 * joint_compatible: the product of each wall's factors restricts to u^{l_i}
@@ -46,8 +46,8 @@ from .logdatum import LogDatum
 _QQ = sympy.QQ
 _UX = sympy.ring("u,x", _QQ, sympy.grevlex)[0]
 
-# WallAssignment.from_obj refuses a factor above this total degree, which
-# bounds its Groebner basis and resultants (README, Wall-function checks).
+# Every WallAssignment refuses a factor above this total degree, which bounds
+# its Groebner basis and resultants (README, Wall-function checks).
 MAX_GROEBNER_DEGREE = 10
 
 
@@ -209,9 +209,19 @@ def bipoly_from_obj(obj) -> BiPoly:
 
 @dataclass(frozen=True)
 class WallAssignment:
-    """One list of factors per edge, in the datum's counterclockwise order."""
+    """One list of factors per edge, in the datum's counterclockwise order;
+    FactorTooLarge for a factor above total degree MAX_GROEBNER_DEGREE."""
 
     factors: tuple[tuple[BiPoly, ...], ...]
+
+    def __post_init__(self):
+        for wall in self.factors:
+            for f in wall:
+                degree = max((dx + du for (dx, du), _ in f.terms), default=0)
+                if degree > MAX_GROEBNER_DEGREE:
+                    raise FactorTooLarge(
+                        f"a wall factor of total degree {degree} is too large to "
+                        f"check; the cap is {MAX_GROEBNER_DEGREE}")
 
     def to_obj(self) -> dict:
         return {"walls": [[bipoly_to_obj(f) for f in wall] for wall in self.factors]}
@@ -219,8 +229,7 @@ class WallAssignment:
     @staticmethod
     def from_obj(obj) -> "WallAssignment":
         """From to_obj's {"walls": [...]} or the bare list of walls; each wall
-        is a list of bipoly_from_obj factors (ShapeMismatch otherwise).
-        FactorTooLarge for one of total degree above MAX_GROEBNER_DEGREE."""
+        is a list of bipoly_from_obj factors (ShapeMismatch otherwise)."""
         walls = obj.get("walls") if isinstance(obj, dict) else obj
         if type(walls) not in (list, tuple) or any(
             type(wall) not in (list, tuple) for wall in walls
@@ -229,16 +238,10 @@ class WallAssignment:
                 "a wall assignment is a list of walls, each a list of factors"
             )
         seen: dict[BiPoly, BiPoly] = {}  # one object, one decision, per factor
-        W = WallAssignment(tuple(
+        return WallAssignment(tuple(
             tuple(seen.setdefault(f, f) for f in map(bipoly_from_obj, wall))
             for wall in walls
         ))
-        for p in (f._ux for f in seen):  # grevlex: LM has the top total degree
-            if sum(p.LM) > MAX_GROEBNER_DEGREE:
-                raise FactorTooLarge(
-                    f"a wall factor of total degree {sum(p.LM)} is too large to "
-                    f"check; the cap is {MAX_GROEBNER_DEGREE}")
-        return W
 
 
 def _check_shape(S: LogDatum, W: WallAssignment) -> None:
@@ -408,22 +411,19 @@ def generic_wall_assignment(S: LogDatum, seed: int) -> WallAssignment:
     resultant a nonzero constant times a power of x.  Walls whose partition
     violates v_q >= D_q for some q (smallest example: (2,1,1,1)) admit no
     such tower and raise WallSynthesisError, as do walls with more than
-    _GAMMA_DRAWS parts of one value; see README.
+    _GAMMA_DRAWS parts of one value; see README.  Each attempt draws every
+    wall, so WallAssignment refuses a part above MAX_GROEBNER_DEGREE (its
+    factor has total degree v) before any check; an attempt that is_generic
+    rejects, or that has a singular factor, is drawn again, up to 50 times.
     """
     rng = random.Random(seed)
     for _ in range(50):
-        walls = []
-        for edge in S.edges:
-            wall = _synthesize_wall(edge, rng)
-            if wall is None:
-                break
-            walls.append(wall)
-        else:
-            W = WallAssignment(tuple(walls))
-            # Subordinate by construction (each factor restricts to u^v and is
-            # redrawn unless smooth), so is_generic cannot raise here.
+        W = WallAssignment(tuple(_synthesize_wall(edge, rng) for edge in S.edges))
+        try:  # each factor restricts to u^v: only a singular one fails is_subordinate
             if is_generic(S, W):
                 return W
+        except SubordinationRequired:
+            pass
     raise WallSynthesisError("could not draw a generic assignment in 50 attempts")
 
 
@@ -431,9 +431,10 @@ def generic_wall_assignment(S: LogDatum, seed: int) -> WallAssignment:
 _GAMMA_DRAWS = 40
 
 
-def _synthesize_wall(edge, rng: random.Random):
+def _synthesize_wall(edge, rng: random.Random) -> tuple[BiPoly, ...]:
     """Factors for one wall, returned in the partition's (descending) order;
-    WallSynthesisError when no dominant tower or too few distinct gammas exist."""
+    WallSynthesisError when no dominant tower or too few distinct gammas exist.
+    Smoothness is left to is_subordinate."""
     u, x = _UX.gens
     nu = edge.nu
     by_value: dict[int, list[BiPoly]] = {}
@@ -458,8 +459,6 @@ def _synthesize_wall(edge, rng: random.Random):
                 gammas.append(g)
         head = u ** (v - below) * core
         group = [_from_ux(head + _QQ(g.numerator, g.denominator) * x) for g in gammas]
-        if not all(f._smooth for f in group):
-            return None  # redraw with fresh randomness
         by_value[v] = group
         if v < nu[0]:  # a larger value follows: its factors need this group
             for f in group:

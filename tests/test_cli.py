@@ -640,16 +640,27 @@ def test_report_refuses_a_factor_over_the_groebner_degree_cap(capsys, tmp_path):
     assert time.perf_counter() - start < 1.0
 
 
-def test_report_gen_walls_decides_a_tower_over_the_degree_cap(capsys, tmp_path):
-    """The value-11 tower factor of partition (11, 1) has total degree 11 and
-    needs a Groebner basis; the cap bounds wall documents only, so synthesis
-    decides it."""
+def test_report_gen_walls_refuses_a_tower_over_the_degree_cap(tmp_path):
+    """A tower factor of value v has total degree v, and a synthesized
+    assignment is capped like a document: (11, 1) and (24, 12, 6, 3, 2, 1)
+    exit 2 with the cap message before any basis is computed.  The second
+    ran for minutes without the cap, so `python -m logmut.cli` runs in a
+    subprocess with a timeout."""
+    src = Path(__file__).resolve().parents[1] / "src"
     path = tmp_path / "datum.json"
-    path.write_text(json.dumps({"edges": [
-        {"e": [12, 0], "nu": [11, 1]}, {"e": [0, 1], "nu": [1]}, {"e": [-12, -1], "nu": [1]},
-    ]}))
-    code, out, err = run(capsys, "report", str(path), "--gen-walls", "1")
-    assert (code, err) == (0, "") and "  subordinate: yes\n  generic: yes\n" in out
+    for nu, degree in (([11, 1], 11), ([24, 12, 6, 3, 2, 1], 24)):
+        n = sum(nu)
+        path.write_text(json.dumps({"edges": [
+            {"e": [n, 0], "nu": nu}, {"e": [0, 1], "nu": [1]}, {"e": [-n, -1], "nu": [1]},
+        ]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "logmut.cli", "report", str(path), "--gen-walls", "1"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", (
+            f"error: a wall factor of total degree {degree} is too large to check; "
+            "the cap is 10\n")), nu
 
 
 # --- argument handling ----------------------------------------------------------

@@ -182,11 +182,12 @@ def test_last_layer_stop_matches_the_full_layer_search():
     and terminal agree; explored agrees on Yes and No and can only shrink
     on Unknown.  The grid reaches max_states in the last layer too, and
     caps 1, 2 and 3 reach it at the root's first, second and third new
-    child."""
+    child.  The root's class always counts, so explored is at most
+    max(max_states, 1): cap 0 stops where cap 1 does."""
     rng = random.Random(1212)
     data = [random_datum(rng, max_edges=6) for _ in range(200)]
     data += [tom_datum(), jerry_datum(), an_datum(3)] + budget_example()
-    limits = [(d, s) for d in (0, 1, 2, 3, 4) for s in (1, 2, 3, 5, 10, 40, 10**6)]
+    limits = [(d, s) for d in (0, 1, 2, 3, 4) for s in (0, 1, 2, 3, 5, 10, 40, 10**6)]
     limits.append((6, 200))
     seen = set()
     tripped_at_root = set()
@@ -198,6 +199,9 @@ def test_last_layer_stop_matches_the_full_layer_search():
             assert (v.kind, v.depth, v.certificate) == (
                 ref.kind, ref.depth, ref.certificate
             ), case
+            assert v.explored <= max(max_states, 1), case
+            if max_states == 0:
+                assert v == is_zero_mutable(S, max_depth=max_depth, max_states=1), case
             if v.is_unknown:
                 assert v.explored <= ref.explored, case
             else:
@@ -208,11 +212,11 @@ def test_last_layer_stop_matches_the_full_layer_search():
                 and ref.explored == max_states
             )
             seen.add((v.kind, v.explored < ref.explored, states_in_last_layer))
-            if v.is_unknown and v.depth == 1 and v.explored == max_states:
+            if v.is_unknown and v.depth == 1 and v.explored == max(max_states, 1):
                 tripped_at_root.add(max_states)
     assert {("yes", False, False), ("no", False, False)} <= seen
     assert {("unknown", True, False), ("unknown", True, True)} <= seen
-    assert {1, 2, 3} <= tripped_at_root
+    assert {0, 1, 2, 3} <= tripped_at_root
 
 
 def test_verdict_and_depth_are_invariant_under_lattice_maps():

@@ -357,7 +357,8 @@ def _singular_for(monkeypatch, calls: int | None) -> list:
 
 
 def test_synthesis_redraws_after_a_singular_factor(monkeypatch):
-    """A singular factor ends its attempt at once; the next attempt draws on
+    """The synthesizer decides no smoothness: an attempt draws every wall,
+    the checks reject it for a singular factor, and the next attempt draws on
     from the same random stream."""
     S = tom_datum()
     redrawn = []
@@ -367,11 +368,12 @@ def test_synthesis_redraws_after_a_singular_factor(monkeypatch):
             redrawn.append(generic_wall_assignment(S, seed=1))
     rng = random.Random(1)
     with monkeypatch.context() as m:
-        _singular_for(m, 1)
-        assert wallfn._synthesize_wall(S.edges[0], rng) is None
+        decided = _singular_for(m, None)
+        first = WallAssignment(tuple(wallfn._synthesize_wall(e, rng) for e in S.edges))
+        assert decided == []
     W = WallAssignment(tuple(wallfn._synthesize_wall(e, rng) for e in S.edges))
-    assert redrawn == [W, W] and W != generic_wall_assignment(S, seed=1)
-    assert is_subordinate(S, W) and is_generic(S, W)
+    assert first == generic_wall_assignment(S, seed=1) != W
+    assert redrawn == [W, W] and is_subordinate(S, W) and is_generic(S, W)
 
 
 def test_synthesis_redraws_after_a_non_generic_attempt(monkeypatch):
@@ -402,7 +404,7 @@ def test_synthesis_gives_up_after_50_attempts(monkeypatch, capsys):
         match="^could not draw a generic assignment in 50 attempts$",
     ):
         generic_wall_assignment(tom_datum(), seed=1)
-    assert len(decided) == 50  # each attempt stops at its first factor
+    assert len(decided) == 50 * 5  # is_subordinate decides all 5 factors of each attempt
     assert main(["report", "Tom", "--gen-walls", "1"]) == 2
     assert "could not draw a generic assignment" in capsys.readouterr().err
 
@@ -953,22 +955,53 @@ def test_groebner_runs_only_where_no_closed_form_settles_smoothness(bases):
 
 
 def test_wall_documents_bound_the_groebner_degree(bases):
-    """A wall document's factor is refused above total degree 10, as text or
-    triples, before any basis is computed, also when a constant generator
-    would settle its smoothness; degree 10 is still read.  Factors the
-    program builds, and is_smooth_curve, are not bounded."""
+    """Every wall assignment refuses a factor above total degree 10 before
+    any basis is computed, also when a constant generator would settle its
+    smoothness: a document's factor as text or triples, a synthesized tower
+    factor, and a factor passed to WallAssignment directly.  Degree 10, and
+    the zero factor, are still taken (a synthesized part of 10 is read back
+    below).  is_smooth_curve on a single factor is not bounded."""
     assert wallfn.MAX_GROEBNER_DEGREE == 10
     cusp = P("u^2 - x^3")
     for f in (P("u^11 + u^9*x^2 + x"), P("u^2*x^9 + u + x^2*u"), cusp * cusp * cusp * cusp,
               P("u^12 + x"), P("x^20 + u")):
         degree = max(dx + du for (dx, du), _ in f.terms)
+        cap = f"^a wall factor of total degree {degree} is too large to check; the cap is 10$"
         for doc in ({"walls": [["u"], [format_bipoly(f)]]}, [[bipoly_to_obj(f), "u"]]):
-            with pytest.raises(FactorTooLarge, match=f"total degree {degree} .* the cap is 10$"):
+            with pytest.raises(FactorTooLarge, match=cap):
                 WallAssignment.from_obj(doc)
+        with pytest.raises(FactorTooLarge, match=cap):
+            WallAssignment(((U,), (P("u + x"), BiPoly(f.terms))))
+    tower = validate([((12, 0), (11, 1)), ((0, 1), (1,)), ((-12, -1), (1,))])
+    with pytest.raises(FactorTooLarge, match="total degree 11 .* the cap is 10$"):
+        generic_wall_assignment(tower, seed=1)
     WallAssignment.from_obj([["u^10 + u^9*x + x", "x^10 + u"]])
+    WallAssignment(((P("u^10 + u^9*x + x"), P("x^10 + u")), (BiPoly(()),)))
     assert bases == []
     assert is_smooth_curve(P("u^11 + u^9*x^2 + x")) and len(bases) == 1
-    tower = validate([((12, 0), (11, 1)), ((0, 1), (1,)), ((-12, -1), (1,))])
-    W = generic_wall_assignment(tower, seed=1)
-    assert max(sum(k) for f in W.factors[0] for k, _ in f.terms) == 11
-    assert is_generic(tower, W)
+
+
+def test_gen_walls_documents_read_back_with_the_same_checks(capsys, tmp_path):
+    """Every `report --gen-walls --json` document that exits 0 reads back
+    through `--walls` with the same wall checks: the tower data, and a wall
+    with a part of 10, at the cap.  A part of 11 is refused by synthesis as
+    it is by the reader, so it writes no document."""
+    at_cap = (((11, 0), (10, 1)), ((0, 1), (1,)), ((-11, -1), (1,)))
+    over_cap = (((12, 0), (11, 1)), ((0, 1), (1,)), ((-12, -1), (1,)))
+    datum, walls = tmp_path / "datum.json", tmp_path / "walls.json"
+    refused = []
+    for seed, raw in enumerate((*TOWER_DATA, at_cap, over_cap), start=1):
+        datum.write_text(json.dumps({"edges": [{"e": e, "nu": nu} for e, nu in raw]}))
+        if main(["report", str(datum), "--gen-walls", str(seed), "--json"]):
+            refused.append(raw)
+            continue
+        written = json.loads(capsys.readouterr().out)
+        walls.write_text(json.dumps(written["walls_input"]))
+        assert main(["report", str(datum), "--walls", str(walls), "--json"]) == 0, raw
+        read = json.loads(capsys.readouterr().out)
+        assert read == written, raw
+        assert written["wall_checks"]["generic"]["ok"], raw
+    assert refused == [over_cap]
+    assert "total degree 11 is too large to check" in capsys.readouterr().err
+    degrees = [dx + du for dx, du, _ in written["walls_input"]["walls"][0][0]]
+    assert max(degrees) == 10
