@@ -3,8 +3,10 @@
 Each wall surface carries coordinates (x, u) — the wall direction u_i is
 primitive, so together with the joint direction u it spans the wall monoid
 freely.  A wall function for edge i is a product of factors f_{i,k}, one per
-part of nu_i.  Every factor of a WallAssignment is capped at total degree
-MAX_GROEBNER_DEGREE, and the checks here are exact:
+part of nu_i.  A factor (BiPoly) is its element of the ring Q[u, x]; its text
+and JSON exchange form is read off that element on demand.  Every factor of a
+WallAssignment is capped at total degree MAX_GROEBNER_DEGREE, and the checks
+here are exact:
 
 * joint_compatible: the product of each wall's factors restricts to u^{l_i}
   at x = 0 (the sufficient form of the compatibility condition along the
@@ -53,18 +55,20 @@ MAX_GROEBNER_DEGREE = 10
 
 @dataclass(frozen=True)
 class BiPoly:
-    """Sparse exact polynomial in Q[x, u]: {(x_degree, u_degree): coefficient}.
-    The text and JSON exchange format; arithmetic runs on the ring _UX.  Its
-    _UX element (kept if it was built from one, as * and synthesis build),
-    smoothness verdict and verdicts against later factors of a wall (_pairs,
-    keyed by their _UX elements) are computed once per object, on first use;
-    ==, hash, repr and pickle see `terms` only."""
+    """Exact polynomial in Q[x, u], held as its element of the ring _UX (a
+    _UX monomial is (u_degree, x_degree)); ==, hash, repr and pickle read
+    that element.  `terms`, the text and JSON exchange form
+    {(x_degree, u_degree): coefficient} as sorted pairs, is read off it on
+    demand.  The smoothness verdict and the verdicts against later factors
+    of a wall (_pairs, keyed by their _UX elements) are computed once per
+    object, on first use."""
 
-    terms: tuple[tuple[tuple[int, int], Fraction], ...]
+    _ux: sympy.polys.rings.PolyElement
 
     @cached_property
-    def _ux(self):
-        return _in_ux(self)
+    def terms(self) -> tuple[tuple[tuple[int, int], Fraction], ...]:
+        return tuple(sorted(((dx, du), Fraction(c.numerator, c.denominator))
+                            for (du, dx), c in self._ux.items()))
 
     @cached_property
     def _smooth(self) -> bool:
@@ -75,28 +79,28 @@ class BiPoly:
         return {}
 
     def __reduce__(self):  # sympy cannot pickle _UX elements; rebuild them
-        return BiPoly, (self.terms,)
+        return BiPoly.from_terms, (dict(self.terms),)
 
     @staticmethod
     def from_terms(terms: Mapping[tuple[int, int], Fraction | int]) -> "BiPoly":
-        cleaned = {}
+        ux = {}
         for (dx, du), c in terms.items():
             c = Fraction(c)
             if c != 0:
                 if dx < 0 or du < 0:
                     raise ValueError(f"negative exponent in term {(dx, du)}")
-                cleaned[(dx, du)] = c
-        return BiPoly(tuple(sorted(cleaned.items())))
+                ux[(du, dx)] = _QQ(c.numerator, c.denominator)
+        return BiPoly(_UX.from_dict(ux))
 
     @staticmethod
     def u_power(n: int) -> "BiPoly":
-        return BiPoly.from_terms({(0, n): 1})
+        return BiPoly(_UX.gens[0] ** n)
 
     def __mul__(self, other: "BiPoly") -> "BiPoly":
-        return _from_ux(self._ux * other._ux)
+        return BiPoly(self._ux * other._ux)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._ux
 
     def __str__(self) -> str:
         return format_bipoly(self)
@@ -217,7 +221,7 @@ class WallAssignment:
     def __post_init__(self):
         for wall in self.factors:
             for f in wall:
-                degree = max((dx + du for (dx, du), _ in f.terms), default=0)
+                degree = max(map(sum, f._ux), default=0)
                 if degree > MAX_GROEBNER_DEGREE:
                     raise FactorTooLarge(
                         f"a wall factor of total degree {degree} is too large to "
@@ -300,19 +304,6 @@ def _decide_smooth(p) -> bool:
             or groebner(gens, _UX) == [_UX.one])
 
 
-def _in_ux(f: BiPoly):
-    return _UX.from_dict(
-        {(du, dx): _QQ(c.numerator, c.denominator) for (dx, du), c in f.terms}
-    )
-
-
-def _from_ux(p) -> BiPoly:
-    f = BiPoly(tuple(sorted(((dx, du), Fraction(c.numerator, c.denominator))
-                            for (du, dx), c in p.items())))
-    vars(f)["_ux"] = p  # the _ux cached_property's value, kept
-    return f
-
-
 def _resultant_u(f, g):
     """Res_u(f, g) of two _UX elements: the Sylvester determinant of f and g
     in u, in that order.  For m = deg_u f < n = deg_u g it is (-1)^(mn) *
@@ -355,7 +346,7 @@ def is_subordinate(S: LogDatum, W: WallAssignment) -> CheckReport:
         for k, (factor, part) in enumerate(zip(wall, edge.nu), start=1):
             if (r := _at_joint(factor)) != _UX.gens[0] ** part:
                 problems.append(
-                    f"wall {i} factor {k}: restriction {_from_ux(r)} != u^{part}")
+                    f"wall {i} factor {k}: restriction {BiPoly(r)} != u^{part}")
             elif not factor._smooth:
                 problems.append(f"wall {i} factor {k}: zero curve is singular")
     return CheckReport(not problems, tuple(problems))
@@ -458,7 +449,7 @@ def _synthesize_wall(edge, rng: random.Random) -> tuple[BiPoly, ...]:
             if g not in gammas:
                 gammas.append(g)
         head = u ** (v - below) * core
-        group = [_from_ux(head + _QQ(g.numerator, g.denominator) * x) for g in gammas]
+        group = [BiPoly(head + _QQ(g.numerator, g.denominator) * x) for g in gammas]
         by_value[v] = group
         if v < nu[0]:  # a larger value follows: its factors need this group
             for f in group:

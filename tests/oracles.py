@@ -530,7 +530,7 @@ def wall_problems(
             continue
         for k, (factor, part) in enumerate(zip(wall, edge.nu), start=1):
             if to_sympy(factor).subs(_X, 0) != _U**part:
-                restriction = BiPoly(tuple(t for t in factor.terms if t[0][0] == 0))
+                restriction = BiPoly.from_terms({m: c for m, c in factor.terms if not m[0]})
                 problems.append(
                     f"wall {i} factor {k}: restriction {restriction} != u^{part}"
                 )

@@ -1,6 +1,6 @@
 """The public namespace: every name in logmut.__all__ resolves, once; the
-package's source holds no assert statement and parses at the declared
-Python floor."""
+package's source holds no assert statement, imports sympy in one module
+and parses at the declared Python floor."""
 import ast
 from pathlib import Path
 
@@ -26,6 +26,24 @@ def test_src_has_no_assert_statement():
         tree = ast.parse(path.read_text(), filename=str(path))
         found = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert found == [], f"{path.name}: assert on lines {found}"
+
+
+def test_only_wallfn_imports_sympy():
+    """sympy is a dependency of the wall checks alone, so deferring its
+    import touches one module."""
+    src = Path(logmut.__file__).parent
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "sympy" for m in modules):
+                importers.add(path.name)
+    assert importers == {"wallfn.py"}
 
 
 def test_src_parses_at_the_declared_python_floor():

@@ -109,7 +109,7 @@ def test_parse_accepts_z_and_spaces():
     assert P("1/2*x^2*u - u + 2") == BiPoly.from_terms(
         {(2, 1): Fraction(1, 2), (0, 1): -1, (0, 0): 2}
     )
-    assert P("u - u") == P("0") == BiPoly(())
+    assert P("u - u") == P("0") == BiPoly.from_terms({})
 
 
 def test_parse_rejects_garbage():
@@ -126,11 +126,31 @@ def test_parse_rejects_garbage():
             bipoly_from_obj([[0, 1, coefficient]])
 
 
+def _drawn_assignments():
+    """The assignment generic_wall_assignment draws for each TOWER_DATA datum."""
+    return [generic_wall_assignment(validate(raw), seed)
+            for seed, raw in enumerate(TOWER_DATA, start=1)]
+
+
+def _exchange_inputs():
+    """SPECIAL, seeded random factors and every synthesized tower factor."""
+    rng = random.Random(17)
+    drawn = [f for W in _drawn_assignments() for wall in W.factors for f in wall]
+    return [*SPECIAL, *(random_bipoly(rng) for _ in range(60)), *drawn]
+
+
 def test_format_round_trips():
+    """Text, the terms and pickle each give back an equal factor with an
+    equal hash."""
     for text in ("u^2 - 6*u*x + x", "-u + 5", "0", "1/3*u^4*x^2 + x", "7"):
         f = parse_bipoly(text)
         assert format_bipoly(f) == text
         assert parse_bipoly(format_bipoly(f)) == f
+    for f in _exchange_inputs():
+        text = format_bipoly(f)
+        for g in (parse_bipoly(text), BiPoly.from_terms(dict(f.terms)),
+                  pickle.loads(pickle.dumps(f))):
+            assert g == f and hash(g) == hash(f) and format_bipoly(g) == text, f
 
 
 def test_json_round_trips():
@@ -138,6 +158,11 @@ def test_json_round_trips():
     obj = json.loads(json.dumps(bipoly_to_obj(f)))
     assert bipoly_from_obj(obj) == f
     assert bipoly_from_obj("u^2 - 1/2*x") == f  # strings accepted too
+    for f in _exchange_inputs():
+        g = bipoly_from_obj(json.loads(json.dumps(bipoly_to_obj(f))))
+        assert g == f and hash(g) == hash(f) and g.terms == f.terms, f
+    for W in _drawn_assignments():
+        assert WallAssignment.from_obj(json.loads(json.dumps(W.to_obj()))) == W
     W = WallAssignment(((U, P("u + x")), (P("u^2 + x"),)))
     assert WallAssignment.from_obj(json.loads(json.dumps(W.to_obj()))) == W
     assert bipoly_from_obj([[0, 1, 1], [1, 0, "1/2"], [1, 0, "1/2"]]) == P("u + x")
@@ -280,7 +305,7 @@ def test_resultant_sign_follows_the_argument_order():
     f, g = P("u + x"), P("u + u^3*x + 9*x")
     S = validate([((2, 0), (1, 1)), ((0, 1), (1,)), ((-2, -1), (1,))])
     for a, b, want in ((f, g, "-x**4 + 8*x"), (g, f, "x**4 - 8*x")):
-        res = wallfn._resultant_u(wallfn._in_ux(a), wallfn._in_ux(b))
+        res = wallfn._resultant_u(a._ux, b._ux)
         assert str(res.as_expr()) == str(oracles.resultant_u(a, b)) == want
         report = is_generic(S, WallAssignment(((a, b), (U,), (U,))))
         assert report.problems == (
@@ -506,7 +531,7 @@ def test_smoothness_and_resultants_match_the_expr_reference():
     pairs = [(f, g) for f in SPECIAL for g in SPECIAL[:6]]
     pairs += [tuple(rng.sample(polys, 2)) for _ in range(150)]
     for f, g in pairs:
-        res = wallfn._resultant_u(wallfn._in_ux(f), wallfn._in_ux(g))
+        res = wallfn._resultant_u(f._ux, g._ux)
         assert str(res.as_expr()) == str(oracles.resultant_u(f, g)), (f, g)
 
 
@@ -652,7 +677,7 @@ def test_resultant_closed_form_matches_sympy(sympy_resultants):
     fallbacks += [(g, f) for f, g in fallbacks]
     fell_back = 0
     for k, (f, g) in enumerate(closed + fallbacks):
-        p, q = wallfn._in_ux(f), wallfn._in_ux(g)
+        p, q = f._ux, g._ux
         sympy_resultants.clear()
         res = wallfn._resultant_u(p, q)
         assert k >= len(closed) or sympy_resultants == [], (f, g)
@@ -689,6 +714,15 @@ def _controls(S, W, rng):
         )
         for edge in S.edges
     ))
+
+
+def _fresh(f: BiPoly) -> BiPoly:
+    """An equal factor rebuilt from its terms, with no verdict cached."""
+    return BiPoly.from_terms(dict(f.terms))
+
+
+def _fresh_copies(W: WallAssignment) -> WallAssignment:
+    return WallAssignment(tuple(tuple(map(_fresh, wall)) for wall in W.factors))
 
 
 def test_tower_assignments_match_the_expr_reference():
@@ -785,7 +819,7 @@ def test_each_factor_object_is_decided_once(decided):
         for check in (is_subordinate, is_generic, _wall_checks):
             check(S, W)
         objects = {id(f): f for wall in W.factors for f in wall}
-        assert sorted(wallfn._from_ux(p).terms for p in decided) == sorted(
+        assert sorted(BiPoly(p).terms for p in decided) == sorted(
             f.terms for f in objects.values()
         ), raw
         decided.clear()
@@ -808,18 +842,10 @@ def resultants(monkeypatch):
     return calls
 
 
-def test_each_factor_pair_is_decided_once(resultants, monkeypatch):
+def test_each_factor_pair_is_decided_once(resultants):
     """After synthesis, the checks and the controls that share its factor
     objects, or hold equal copies of each wall's last factor, take no
-    resultant again; fresh copies of all the factors take one per pair.
-    Synthesized factors keep their ring elements, so none of them is
-    converted to _UX again.  The module-level U, which a control multiplies
-    in, is converted before counting starts, so the count does not depend on
-    which tests ran before this one."""
-    U._ux  # noqa: B018 - cache U's ring element now
-    converted = []
-    real_in_ux = wallfn._in_ux
-    monkeypatch.setattr(wallfn, "_in_ux", lambda f: converted.append(f) or real_in_ux(f))
+    resultant again; fresh copies of all the factors take one per pair."""
     rng = random.Random(3)
     duplicates = 0
     for seed, raw in enumerate(TOWER_DATA, start=1):
@@ -830,14 +856,12 @@ def test_each_factor_pair_is_decided_once(resultants, monkeypatch):
             check(S, W)
         for V in list(_controls(S, W, rng))[:-1]:  # the last draws new factors
             duplicates += bool(_wall_checks(S, V)["generic"])
-        assert resultants == [] and converted == [], raw
+        assert resultants == [], raw
         # A verdict is keyed by the second factor's value, not its object.
-        last_copied = tuple((*wall[:-1], BiPoly(wall[-1].terms)) for wall in W.factors)
+        last_copied = tuple((*wall[:-1], _fresh(wall[-1])) for wall in W.factors)
         assert is_generic(S, WallAssignment(last_copied)) and resultants == [], raw
-        copies = WallAssignment(tuple(tuple(BiPoly(f.terms) for f in wall) for wall in W.factors))
-        assert is_generic(S, copies)
+        assert is_generic(S, _fresh_copies(W))
         assert len(resultants) == sum(math.comb(len(wall), 2) for wall in W.factors), raw
-        converted.clear()
     assert duplicates >= 10
 
 
@@ -862,7 +886,7 @@ def test_is_subordinate_takes_no_resultant(resultants):
     for seed, raw in enumerate(TOWER_DATA, start=1):
         S = validate(raw)
         W = generic_wall_assignment(S, seed)
-        copies = WallAssignment(tuple(tuple(BiPoly(f.terms) for f in wall) for wall in W.factors))
+        copies = _fresh_copies(W)
         resultants.clear()
         assert is_subordinate(S, copies) and resultants == [], raw
         wrong_restriction = next(_controls(S, copies, rng))
@@ -892,33 +916,37 @@ def test_wall_documents_share_one_object_per_distinct_factor(bases):
     assert checks["generic"] is None
     assert list(oracles.wall_problems(S, W)[0]) == expected
     bases.clear()
-    separate = WallAssignment(tuple(tuple(BiPoly(f.terms) for f in w) for w in W.factors))
-    assert _wall_checks(S, separate) == checks and len(bases) == 3
+    assert _wall_checks(S, _fresh_copies(W)) == checks and len(bases) == 3
 
 
 def test_cached_derived_data_keeps_value_semantics():
-    """==, hash, repr, str, copy and pickle see the terms alone, whether or
-    not the ring element and verdict are cached; a fresh equal object gets
-    the reference verdict."""
+    """A factor is its ring element: a fresh object holds that alone, and
+    ==, hash, repr, str, copy and pickle agree whether or not `terms`, the
+    smoothness verdict and the pair verdicts are cached.  A product is
+    equal to the factor rebuilt from its terms, and a fresh equal object
+    gets the reference verdict."""
     rng = random.Random(29)
     for f in list(SPECIAL) + [random_bipoly(rng) for _ in range(60)]:
-        empty, filled = BiPoly(f.terms), BiPoly(f.terms)
+        empty, filled = _fresh(f), _fresh(f)
         smooth = is_smooth_curve(filled)
         filled._pairs[U._ux] = wallfn._resultant_u(filled._ux, U._ux)  # as is_generic does
-        assert vars(empty).keys() == {"terms"}
-        assert {"_ux", "_smooth", "_pairs"} <= vars(filled).keys()
+        filled.terms  # noqa: B018 - cache the exchange form
+        assert vars(empty).keys() == {"_ux"}
+        assert vars(filled).keys() == {"_ux", "terms", "_smooth", "_pairs"}
+        # ==, hash and repr read the element alone: empty builds no terms.
+        assert empty == filled == f and hash(empty) == hash(filled) == hash(f)
+        assert repr(empty) == repr(filled) == repr(f) and vars(empty).keys() == {"_ux"}
         assert pickle.dumps(filled) == pickle.dumps(empty)
-        for g in (empty, filled, copy.copy(empty), copy.copy(filled),
-                  pickle.loads(pickle.dumps(filled))):
+        unpickled = [pickle.loads(pickle.dumps(g, protocol))
+                     for g in (empty, filled) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for g in (empty, filled, copy.copy(empty), copy.copy(filled), *unpickled):
             assert g == f and hash(g) == hash(f), f
             assert repr(g) == repr(f) and str(g) == str(f), f
-        # A product keeps its ring element, which is the one _in_ux builds.
-        product, plain = f * U, BiPoly((f * U).terms)
-        assert vars(product).keys() == {"terms", "_ux"} and vars(plain).keys() == {"terms"}
-        assert product._ux == wallfn._in_ux(product) and product == plain
-        assert hash(product) == hash(plain) and repr(product) == repr(plain)
+        product, plain = f * U, _fresh(f * U)
+        assert vars(product).keys() == {"_ux"}
+        assert product == plain and hash(product) == hash(plain) and repr(product) == repr(plain)
         assert pickle.dumps(product) == pickle.dumps(plain)
-        fresh = BiPoly(f.terms)
+        fresh = _fresh(f)
         assert is_smooth_curve(fresh) is smooth is oracles.is_smooth_curve(fresh), f
 
 
@@ -971,12 +999,12 @@ def test_wall_documents_bound_the_groebner_degree(bases):
             with pytest.raises(FactorTooLarge, match=cap):
                 WallAssignment.from_obj(doc)
         with pytest.raises(FactorTooLarge, match=cap):
-            WallAssignment(((U,), (P("u + x"), BiPoly(f.terms))))
+            WallAssignment(((U,), (P("u + x"), _fresh(f))))
     tower = validate([((12, 0), (11, 1)), ((0, 1), (1,)), ((-12, -1), (1,))])
     with pytest.raises(FactorTooLarge, match="total degree 11 .* the cap is 10$"):
         generic_wall_assignment(tower, seed=1)
     WallAssignment.from_obj([["u^10 + u^9*x + x", "x^10 + u"]])
-    WallAssignment(((P("u^10 + u^9*x + x"), P("x^10 + u")), (BiPoly(()),)))
+    WallAssignment(((P("u^10 + u^9*x + x"), P("x^10 + u")), (BiPoly.from_terms({}),)))
     assert bases == []
     assert is_smooth_curve(P("u^11 + u^9*x^2 + x")) and len(bases) == 1
 
