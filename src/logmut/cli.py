@@ -6,6 +6,11 @@ A DATUM argument is resolved in this order: "-" reads JSON from stdin; an
 existing file path is read as JSON; otherwise it must be a named datum
 (Tom, Jerry, or An(n)).
 
+With --json, validate and mutate print a datum document (datum_to_obj, with
+their other fields beside "edges"), which a DATUM argument reads back; decide
+prints the verdict document (Verdict.to_obj), and each enumerate result is
+that document beside its "partitions".
+
 Exit codes:
   0  success (decide: verdict Yes)
   1  I/O or parse error (bad JSON, JSON nested too deeply to parse, unknown
@@ -26,6 +31,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 
 from .decider import (
     MAX_DEPTH,
@@ -89,7 +95,7 @@ def cmd_validate(args) -> int:
             json.dumps(
                 {
                     "ok": True,
-                    "datum": datum_to_obj(S),
+                    **datum_to_obj(S),
                     "rank": rank_label,
                     "total_length": S.total_length,
                     "canonical_class": canonicalize(S),
@@ -110,7 +116,7 @@ def cmd_mutate(args) -> int:
         k = part_index(S, args.edge, args.part_value)
     T, trace = mutate_with_trace(S, args.edge, k)
     if args.json:
-        out = {"datum": datum_to_obj(T)}
+        out = datum_to_obj(T)
         if args.trace:
             out["trace"] = trace
         print(json.dumps(out))
@@ -139,16 +145,7 @@ def cmd_decide(args) -> int:
             json.dump(cert.to_obj(), fh, indent=2)
             fh.write("\n")
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "verdict": str(verdict),
-                    "explored": verdict.explored,
-                    "depth": verdict.depth,
-                    "certificate": cert.to_obj() if cert else None,
-                }
-            )
-        )
+        print(json.dumps(verdict.to_obj()))
     else:
         if verdict.is_yes:
             print(
@@ -190,13 +187,7 @@ def cmd_enumerate(args) -> int:
                 {
                     "edges": [list(v) for v in vectors],
                     "results": [
-                        {
-                            "partitions": [list(p) for p in assignment],
-                            "verdict": str(verdict),
-                            "steps": len(verdict.certificate.steps)
-                            if verdict.certificate
-                            else None,
-                        }
+                        {"partitions": [list(p) for p in assignment], **verdict.to_obj()}
                         for assignment, verdict in results
                     ],
                 }
@@ -238,11 +229,8 @@ def cmd_render(args) -> int:
 def _wall_checks(S: LogDatum, W: WallAssignment) -> dict:
     checks: dict = {"joint_compatible": joint_compatible(S, W)}
     sub = is_subordinate(S, W)
-    checks["subordinate"] = {"ok": sub.ok, "problems": list(sub.problems)}
-    gen = is_generic(S, W) if sub else None
-    checks["generic"] = (
-        None if gen is None else {"ok": gen.ok, "problems": list(gen.problems)}
-    )
+    checks["subordinate"] = asdict(sub)
+    checks["generic"] = asdict(is_generic(S, W)) if sub else None
     return checks
 
 

@@ -186,6 +186,11 @@ class Verdict:
     def __str__(self) -> str:
         return {"yes": "Yes", "no": "No", "unknown": "Unknown"}[self.kind]
 
+    def to_obj(self) -> dict:
+        cert = self.certificate
+        return {"verdict": str(self), "explored": self.explored, "depth": self.depth,
+                "certificate": cert.to_obj() if cert else None}
+
     @staticmethod
     def yes(cert: Certificate, explored: int) -> "Verdict":
         return Verdict("yes", cert, explored, len(cert.steps))

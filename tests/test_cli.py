@@ -14,9 +14,14 @@ import pytest
 from logmut import (
     BiPoly,
     Certificate,
+    datum_from_obj,
     datum_to_obj,
     format_bipoly,
     generic_wall_assignment,
+    is_zero_mutable,
+    legal_mutations,
+    mutate,
+    named,
     tom_datum,
     verify_certificate,
 )
@@ -55,7 +60,7 @@ def test_validate_json_output(capsys):
     assert doc["ok"] is True
     assert doc["rank"] == "rank two"
     assert doc["total_length"] == 4
-    assert doc["datum"]["edges"][1] == {"e": [0, 2], "nu": [1, 1]}
+    assert doc["edges"][1] == {"e": [0, 2], "nu": [1, 1]}
     assert isinstance(doc["canonical_class"], str)
 
 
@@ -156,7 +161,7 @@ def test_mutate_default_part(capsys):
     code, out, _ = run(capsys, "mutate", "Tom", "--edge", "1", "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["datum"]["edges"] == [
+    assert doc["edges"] == [
         {"e": [1, 0], "nu": [1]},
         {"e": [2, 2], "nu": [1, 1]},
         {"e": [-3, -2], "nu": [1]},
@@ -271,6 +276,38 @@ def test_decide_integer_options_take_ascii_digits_only(capsys):
     assert code == 5 and json.loads(out)["depth"] == 3
 
 
+TOM_VERDICT = (
+    '{"verdict": "Yes", "explored": 15, "depth": 3, "certificate": '
+    '{"steps": [{"edge": 1, "part": 2}, {"edge": 2, "part": 1}, {"edge": 2, "part": 1}], '
+    '"terminal": {"edges": [{"e": [1, 0], "nu": [1]}, {"e": [-1, 0], "nu": [1]}]}}}\n'
+)
+
+
+def test_decide_json_output_is_pinned(capsys):
+    assert run(capsys, "decide", "Tom", "--json") == (0, TOM_VERDICT, "")
+
+
+def test_verdict_document_keys_in_order():
+    verdicts = (
+        is_zero_mutable(tom_datum()),
+        is_zero_mutable(datum_from_obj(FIXED_POINT)),
+        is_zero_mutable(tom_datum(), max_depth=0),
+    )
+    assert [v.kind for v in verdicts] == ["yes", "no", "unknown"]
+    for v in verdicts:
+        assert list(v.to_obj()) == ["verdict", "explored", "depth", "certificate"]
+    assert [v.to_obj()["certificate"] is None for v in verdicts] == [False, True, True]
+
+
+def test_certificate_file_is_the_verdict_documents_certificate(capsys, tmp_path):
+    cert_path = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "decide", "Jerry", "--certificate", str(cert_path), "--json")
+    assert code == 0
+    written = json.loads(cert_path.read_text())
+    assert written == json.loads(out)["certificate"]
+    assert written == is_zero_mutable(named("Jerry")).to_obj()["certificate"]
+
+
 def test_decide_human_output_lists_steps(capsys):
     code, out, _ = run(capsys, "decide", "An(1)")
     assert code == 0
@@ -301,7 +338,7 @@ def test_enumerate_json(capsys):
         tuple(tuple(p) for p in r["partitions"]): r for r in doc["results"]
     }
     tom = by_partitions[((2, 1), (1, 1), (1,))]
-    assert tom["verdict"] == "Yes" and tom["steps"] == 3
+    assert tom["verdict"] == "Yes" and len(tom["certificate"]["steps"]) == 3
 
 
 def test_enumerate_echoes_edges_in_partition_order(capsys):
@@ -345,6 +382,94 @@ def test_enumerate_rejects_ill_shaped_edge_lists(capsys):
         assert (code, out) == (2, "") and err.startswith("error: "), edges
     code, _, err = run(capsys, "enumerate", "--edges", '{"a":1}')
     assert "is not a JSON array" in err
+
+
+# --- documents read back --------------------------------------------------------
+
+# Every datum document the CLI prints is a datum document: `decide -` reads it
+# back and answers as it does for the datum it describes.
+ROUND_TRIP_NAMES = ["Tom", "Jerry"] + [f"An({n})" for n in range(6)]
+
+
+def decide_stdin(capsys, monkeypatch, text, *flags):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    return run(capsys, "decide", "-", *flags)
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_NAMES)
+def test_validate_json_reads_back_through_decide(capsys, monkeypatch, name):
+    code, out, _ = run(capsys, "validate", name, "--json")
+    assert code == 0
+    for flags in ([], ["--json"]):
+        assert decide_stdin(capsys, monkeypatch, out, *flags) == run(
+            capsys, "decide", name, *flags
+        ), flags
+
+
+@pytest.mark.parametrize("name", ROUND_TRIP_NAMES)
+def test_mutate_json_reads_back_through_decide(capsys, monkeypatch, tmp_path, name):
+    S = named(name)
+    for j, k in legal_mutations(S):
+        direct = tmp_path / f"mutated_{j}_{k}.json"
+        direct.write_text(json.dumps(datum_to_obj(mutate(S, j, k))))
+        for trace in ([], ["--trace"]):
+            argv = ["mutate", name, "--edge", str(j), "--part", str(k), *trace, "--json"]
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            for flags in ([], ["--json"]):
+                assert decide_stdin(capsys, monkeypatch, out, *flags) == run(
+                    capsys, "decide", str(direct), *flags
+                ), (argv, flags)
+
+
+@pytest.mark.parametrize(
+    "printer, source",
+    [
+        (["validate", "Tom", "--json"], tom_datum()),
+        (["mutate", "Jerry", "--edge", "1", "--part", "1", "--trace", "--json"],
+         mutate(named("Jerry"), 1, 1)),
+    ],
+    ids=["validate", "mutate"],
+)
+def test_printed_datum_pipes_into_decide(capsys, tmp_path, printer, source):
+    """The document travels through a real pipe between two processes."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    cli = [sys.executable, "-m", "logmut.cli"]
+    first = subprocess.Popen([*cli, *printer], stdout=subprocess.PIPE, env=env)
+    second = subprocess.run(
+        [*cli, "decide", "-", "--json"], stdin=first.stdout, capture_output=True,
+        text=True, env=env,
+    )
+    first.stdout.close()
+    assert first.wait() == 0
+    direct = tmp_path / "source.json"
+    direct.write_text(json.dumps(datum_to_obj(source)))
+    assert (second.returncode, second.stdout, second.stderr) == run(
+        capsys, "decide", str(direct), "--json"
+    )
+
+
+# Jerry's edge vectors are Tom's.
+@pytest.mark.parametrize("name", [n for n in ROUND_TRIP_NAMES if n != "Jerry"])
+def test_enumerate_results_are_verdict_documents(capsys, name):
+    """Each result is its partitions plus the verdict document of deciding
+    that assignment's datum, and each Yes certificate verifies."""
+    vectors = [list(edge.e) for edge in named(name).edges]
+    limits = {"max_depth": 6, "max_states": 5000}
+    code, out, _ = run(
+        capsys, "enumerate", "--edges", json.dumps(vectors),
+        "--max-depth", "6", "--max-states", "5000", "--json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["edges"] == vectors
+    for r in doc["results"]:
+        p = r["partitions"]
+        S = datum_from_obj({"edges": [{"e": e, "nu": nu} for e, nu in zip(vectors, p)]})
+        assert r == {"partitions": p, **is_zero_mutable(S, **limits).to_obj()}
+        if r["verdict"] == "Yes":
+            assert verify_certificate(S, Certificate.from_obj(r["certificate"]))
+    assert any(r["verdict"] == "Yes" for r in doc["results"])
 
 
 # --- render ---------------------------------------------------------------------

@@ -14,6 +14,10 @@ from logmut import (
     LogMutError,
     WallAssignment,
     datum_from_obj,
+    datum_to_obj,
+    legal_mutations,
+    mutate,
+    named,
     parse_bipoly,
 )
 
@@ -70,6 +74,29 @@ def test_documents_parse_or_raise_a_logmut_error(doc):
             pass
         except KeyError as exc:  # an unknown name string, exit 1 in the CLI
             assert "unknown datum name" in str(exc), (parse.__name__, doc)
+
+
+# Valid datum documents: named data by name and by their edges, every datum
+# one legal mutation away from Tom, an empty and a rank-one datum.
+TOM = named("Tom")
+VALID_DATA = (
+    [{"name": name} for name in ("Tom", "Jerry", "An(0)", "An(2)")]
+    + [datum_to_obj(S) for S in (TOM, named("Jerry"), named("An(3)"))]
+    + [datum_to_obj(mutate(TOM, j, k)) for j, k in legal_mutations(TOM)]
+    + [{"edges": []}, {"edges": [{"e": [2, 0], "nu": [1, 1]}, {"e": [-2, 0], "nu": [2]}]}]
+)
+# The keys that validate --json and mutate --json print beside "edges".
+PRINTED_KEYS = ("ok", "rank", "total_length", "canonical_class", "trace")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.sampled_from(VALID_DATA),
+    st.dictionaries(st.sampled_from(PRINTED_KEYS), json_values, min_size=1),
+)
+def test_other_keys_leave_a_datum_document_unchanged(doc, extra):
+    """So every datum document the CLI prints reads back as its datum."""
+    assert datum_from_obj({**doc, **extra}) == datum_from_obj(doc)
 
 
 # Polynomial text over the grammar's own characters, and any text at all.

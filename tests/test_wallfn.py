@@ -912,7 +912,7 @@ def test_wall_documents_share_one_object_per_distinct_factor(bases):
         "wall 1 factor 2: zero curve is singular",
         "wall 2 factor 1: zero curve is singular",
     ]
-    assert checks["subordinate"] == {"ok": False, "problems": expected}
+    assert checks["subordinate"] == {"ok": False, "problems": tuple(expected)}
     assert checks["generic"] is None
     assert list(oracles.wall_problems(S, W)[0]) == expected
     bases.clear()
