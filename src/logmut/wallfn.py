@@ -59,9 +59,10 @@ class BiPoly:
     _UX monomial is (u_degree, x_degree)); ==, hash, repr and pickle read
     that element.  `terms`, the text and JSON exchange form
     {(x_degree, u_degree): coefficient} as sorted pairs, is read off it on
-    demand.  The smoothness verdict and the verdicts against later factors
-    of a wall (_pairs, keyed by their _UX elements) are computed once per
-    object, on first use."""
+    demand.  The smoothness verdict, the exponent k of the restriction
+    u^k at x = 0 (_joint_power), the monic form, and the verdicts against
+    later factors of a wall (_pairs, keyed by their _UX elements) are
+    computed once per object, on first use."""
 
     _ux: sympy.polys.rings.PolyElement
 
@@ -75,6 +76,16 @@ class BiPoly:
         return _decide_smooth(self._ux)
 
     @cached_property
+    def _joint_power(self) -> int | None:
+        """k when the restriction to x = 0 is exactly u^k, else None."""
+        joint = [(du, c) for (du, dx), c in self._ux.items() if not dx]
+        return joint[0][0] if len(joint) == 1 and joint[0][1] == 1 else None
+
+    @cached_property
+    def _monic(self):
+        return self._ux.monic()
+
+    @cached_property
     def _pairs(self) -> dict:
         return {}
 
@@ -83,12 +94,18 @@ class BiPoly:
 
     @staticmethod
     def from_terms(terms: Mapping[tuple[int, int], Fraction | int]) -> "BiPoly":
+        """ValueError for an exponent that is not a non-negative int, or a
+        coefficient that is not an int or a Fraction (a bool is neither),
+        in any term, a zero one included: nothing is coerced."""
         ux = {}
         for (dx, du), c in terms.items():
-            c = Fraction(c)
-            if c != 0:
-                if dx < 0 or du < 0:
-                    raise ValueError(f"negative exponent in term {(dx, du)}")
+            if type(dx) is not int or type(du) is not int:
+                raise ValueError(f"exponent in term {(dx, du)!r} is not an int")
+            if dx < 0 or du < 0:
+                raise ValueError(f"negative exponent in term {(dx, du)}")
+            if type(c) not in (int, Fraction):
+                raise ValueError(f"coefficient {c!r} of term {(dx, du)} is not an int or a Fraction")
+            if c:
                 ux[(du, dx)] = _QQ(c.numerator, c.denominator)
         return BiPoly(_UX.from_dict(ux))
 
@@ -262,10 +279,18 @@ def _at_joint(f: BiPoly):
 
 def joint_compatible(S: LogDatum, W: WallAssignment) -> bool:
     """Each wall's full function restricts to u^{l_i} on the joint (x = 0):
-    x = 0 is a ring map, so the product of the factors' restrictions."""
+    x = 0 is a ring map, so the product of the factors' restrictions, which
+    is u^(k_1 + k_2 + ...) when every factor restricts to some u^k."""
     _check_shape(S, W)
-    return all(math.prod(map(_at_joint, wall), start=_UX.one) == _UX.gens[0] ** length
+    return all(_restricts_to_u_power(wall, length)
                for length, wall in zip(S.lengths, W.factors))
+
+
+def _restricts_to_u_power(wall: tuple[BiPoly, ...], length: int) -> bool:
+    powers = [f._joint_power for f in wall]
+    if None not in powers:
+        return sum(powers) == length
+    return math.prod(map(_at_joint, wall), start=_UX.one) == _UX.gens[0] ** length
 
 
 @dataclass(frozen=True)
@@ -344,9 +369,9 @@ def is_subordinate(S: LogDatum, W: WallAssignment) -> CheckReport:
             )
             continue
         for k, (factor, part) in enumerate(zip(wall, edge.nu), start=1):
-            if (r := _at_joint(factor)) != _UX.gens[0] ** part:
-                problems.append(
-                    f"wall {i} factor {k}: restriction {BiPoly(r)} != u^{part}")
+            if factor._joint_power != part:
+                problems.append(f"wall {i} factor {k}: restriction "
+                                f"{BiPoly(_at_joint(factor))} != u^{part}")
             elif not factor._smooth:
                 problems.append(f"wall {i} factor {k}: zero curve is singular")
     return CheckReport(not problems, tuple(problems))
@@ -371,7 +396,7 @@ def is_generic(S: LogDatum, W: WallAssignment) -> CheckReport:
         for a, b in itertools.combinations(range(len(wall)), 2):
             p, q, pairs = wall[a]._ux, wall[b]._ux, wall[a]._pairs
             if q not in pairs:  # None: proportional, or both zero
-                pairs[q] = None if p.monic() == q.monic() else _resultant_u(p, q)
+                pairs[q] = None if wall[a]._monic == wall[b]._monic else _resultant_u(p, q)
             res = pairs[q]  # else Res_u(p, q), an element of Q[x]
             if res is None:
                 problems.append(

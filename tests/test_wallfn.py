@@ -68,6 +68,28 @@ def test_construction_and_degrees():
         BiPoly.from_terms({(-1, 0): 1})
 
 
+@pytest.mark.parametrize("terms", [
+    {(0, 1): 0.1},  # not rounded to 3602879701896397/36028797018963968
+    {(0, 1): 1.0},
+    {(0, 1): True},  # a bool is not the int 1
+    {(0, 1): "1"},
+    {(0, 1): sympy.Rational(1, 2)},
+    {(1.5, 0): 1},  # would print x^1.5
+    {(1, 2.0): 1},
+    {(True, 0): 1},
+    {(0, False): 1},
+    {(0, -1): 1},
+    {(-1, 0): 0},  # a zero term's exponents are checked too
+    {(0.5, 0): 0},
+    {(0, True): Fraction(0)},
+])
+def test_from_terms_refuses_what_it_would_coerce(terms):
+    """Exponents are non-negative ints and coefficients ints or Fractions,
+    as bipoly_from_obj demands of a document; nothing else is coerced."""
+    with pytest.raises(ValueError):
+        BiPoly.from_terms(terms)
+
+
 def test_derivatives_and_evaluation():
     """The reference calculus of singular_point_search, on term dicts."""
     f = dict(P("u^3 + 2*u*x + 7").terms)
@@ -829,6 +851,55 @@ def test_each_factor_object_is_decided_once(decided):
 
 
 @pytest.fixture
+def derived(monkeypatch):
+    """The factor objects whose _joint_power and whose _monic are computed,
+    one entry per computation, and those passed to _at_joint."""
+    calls = {"_joint_power": [], "_monic": [], "_at_joint": []}
+    for name in ("_joint_power", "_monic"):
+        prop = vars(BiPoly)[name]
+
+        def counting(self, real=prop.func, objects=calls[name]):
+            objects.append(self)
+            return real(self)
+
+        monkeypatch.setattr(prop, "func", counting)
+
+    def counting_restriction(f, real=wallfn._at_joint):
+        calls["_at_joint"].append(f)
+        return real(f)
+
+    monkeypatch.setattr(wallfn, "_at_joint", counting_restriction)
+    return calls
+
+
+def test_each_factor_object_derives_its_joint_power_and_monic_form_once(derived):
+    """Synthesis and every check after it compute each factor object's
+    restriction exponent and monic form once: the exponent for every factor,
+    the monic form for every factor that shares a wall with another, and no
+    restriction on the ring, since every factor restricts to a power of u.
+    A second synthesis draws new objects and computes both again."""
+    for seed, raw in enumerate(TOWER_DATA, start=1):
+        S = validate(raw)
+        for objects in derived.values():
+            objects.clear()
+        W = generic_wall_assignment(S, seed)
+        for check in (is_subordinate, is_generic, joint_compatible, _wall_checks):
+            check(S, W)
+        factors = {id(f) for wall in W.factors for f in wall}
+        paired = {id(f) for wall in W.factors if len(wall) > 1 for f in wall}
+        for name, expected in (("_joint_power", factors), ("_monic", paired)):
+            ids = [id(f) for f in derived[name]]
+            assert len(ids) == len(set(ids)) and set(ids) & factors == expected, (raw, name)
+        assert derived["_at_joint"] == [], raw
+        for objects in derived.values():
+            objects.clear()
+        again = generic_wall_assignment(S, seed)
+        assert again == W and not {id(f) for wall in again.factors for f in wall} & factors
+        assert {id(f) for f in derived["_joint_power"]} >= {
+            id(f) for wall in again.factors for f in wall}, raw
+
+
+@pytest.fixture
 def resultants(monkeypatch):
     """The _UX element pairs wallfn takes Res_u of, one per call."""
     calls = []
@@ -922,7 +993,8 @@ def test_wall_documents_share_one_object_per_distinct_factor(bases):
 def test_cached_derived_data_keeps_value_semantics():
     """A factor is its ring element: a fresh object holds that alone, and
     ==, hash, repr, str, copy and pickle agree whether or not `terms`, the
-    smoothness verdict and the pair verdicts are cached.  A product is
+    smoothness verdict, the restriction exponent, the monic form and the
+    pair verdicts are cached.  A product is
     equal to the factor rebuilt from its terms, and a fresh equal object
     gets the reference verdict."""
     rng = random.Random(29)
@@ -930,9 +1002,10 @@ def test_cached_derived_data_keeps_value_semantics():
         empty, filled = _fresh(f), _fresh(f)
         smooth = is_smooth_curve(filled)
         filled._pairs[U._ux] = wallfn._resultant_u(filled._ux, U._ux)  # as is_generic does
+        joint_power, monic = filled._joint_power, filled._monic
         filled.terms  # noqa: B018 - cache the exchange form
         assert vars(empty).keys() == {"_ux"}
-        assert vars(filled).keys() == {"_ux", "terms", "_smooth", "_pairs"}
+        assert vars(filled).keys() == {"_ux", "terms", "_smooth", "_joint_power", "_monic", "_pairs"}
         # ==, hash and repr read the element alone: empty builds no terms.
         assert empty == filled == f and hash(empty) == hash(filled) == hash(f)
         assert repr(empty) == repr(filled) == repr(f) and vars(empty).keys() == {"_ux"}
@@ -948,6 +1021,7 @@ def test_cached_derived_data_keeps_value_semantics():
         assert pickle.dumps(product) == pickle.dumps(plain)
         fresh = _fresh(f)
         assert is_smooth_curve(fresh) is smooth is oracles.is_smooth_curve(fresh), f
+        assert fresh._joint_power == joint_power and fresh._monic == monic, f
 
 
 def _has_constant_generator(f: BiPoly) -> bool:
